@@ -25,7 +25,15 @@ from .cost import parse_cost_spec
 from .engine import LearnOptions, LearnResult, evaluate_on_test, learn
 from .errors import LexicostError, ParseError, ResourceLimitError
 from .evaluator import Confusion
-from .kb import Atom, Task, parse_bias, parse_examples, parse_facts, render_program
+from .kb import (
+    Atom,
+    Task,
+    parse_bias,
+    parse_examples,
+    parse_facts,
+    parse_task,
+    render_program,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -84,12 +92,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         return EXIT_INPUT
 
     spec = parse_cost_spec(args.cost)
-    task = Task(
-        bk_facts=parse_facts(bk_text),
-        pos=(pn := parse_examples(exs_text))[0],
-        neg=pn[1],
-        bias=parse_bias(bias_text),
-    )
+    task = parse_task(bk_text, exs_text, bias_text)
     options = LearnOptions(
         spec=spec,
         max_size=args.max_size,
@@ -245,6 +248,9 @@ def _bench_job(job: dict) -> ResultRow:
         return ResultRow(**base, status="parse_error")
     except LexicostError:
         return ResultRow(**base, status="error")
+    except (RecursionError, MemoryError):
+        # one job that exhausts the interpreter must not abort the suite
+        return ResultRow(**base, status="crash")
 
 
 def run_bench(config: SuiteConfig) -> str:
@@ -459,6 +465,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except RecursionError:
+        print("resource limit: maximum recursion depth exceeded", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except LexicostError as exc:
         print(f"error: {exc}", file=sys.stderr)

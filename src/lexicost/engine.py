@@ -23,7 +23,7 @@ from .evaluator import (
     coverage,
     coverage_of_examples,
 )
-from .generator import CandidateGenerator, prune_exact, prune_specializations
+from .generator import CandidateGenerator, prune_specializations
 from .kb import EMPTY_PROGRAM, Atom, Program, Task, validate_example
 
 PROOF_OPTIMAL = "optimal"
@@ -76,12 +76,13 @@ def _admissible(
     The union coverage of selected entries is computed as a bitwise OR, which
     is only exact when no selected rule consumes a predicate another rule can
     derive; requiring that no body literal uses any declared head predicate
-    guarantees it for every possible union (and excludes recursive programs).
+    guarantees it for every possible union.  Every generated rule head is a
+    head predicate, so this also excludes recursive programs.
     Entries must cover a positive, and when false positives are the leading
     objective they must cover no negative: a union containing such an entry
     could never beat the empty hypothesis.
     """
-    if p.is_recursive or conf.tp == 0:
+    if conf.tp == 0:
         return False
     if any(
         (a.predicate, a.arity) in head_preds for r in p.rules for a in r.body
@@ -94,12 +95,13 @@ def _admissible(
 
 def learn(t: Task, o: LearnOptions) -> LearnResult:
     spec = o.spec
-    ordering = "by-size" if spec.minimises_size else "unordered"
-    gen = CandidateGenerator(t.bias, ordering=ordering, size_cap=o.max_size)
+    gen = CandidateGenerator(t.bias, size_cap=o.max_size)
 
     stats = LearnStats()
     n_pos, n_neg = len(t.pos), len(t.neg)
     best_prog = EMPTY_PROGRAM
+    # the empty program covers no example: `Task` keeps head predicates out
+    # of the background
     best_conf = Confusion(tp=0, fp=0, tn=n_neg, fn=n_pos)
     best_cost = evaluate(spec, best_conf, 0)
 
@@ -160,7 +162,6 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
 
         if conf.tp == 0 and o.specialization_pruning:
             gen.add_constraint(prune_specializations(h))
-        gen.add_constraint(prune_exact(h))
 
         if o.use_size_bound:
             bound = generator_size_bound(spec, best_cost)

@@ -34,6 +34,11 @@ class UnknownPredicateError(LexicostError):
     """An example atom uses a predicate that is not a declared head predicate."""
 
 
+class BackgroundHeadPredicateError(LexicostError):
+    """A background fact uses a declared head predicate; the learner assumes
+    head predicates are defined by the hypothesis alone."""
+
+
 class ResourceLimitError(LexicostError):
     """Evaluation derived more atoms than the configured cap allows."""
 

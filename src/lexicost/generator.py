@@ -2,10 +2,10 @@
 
 The generator yields every bias-respecting, non-redundant program exactly
 once, in nondecreasing total size, breaking ties within a size class by the
-canonical rendering.  Hypothesis rules draw body predicates from the bias's
-body predicates (plus head predicates when recursion is enabled), use only
-variables, have distinct canonical head variables, and must be safe (head
-variables occur in the body) and connected.  Multi-rule candidates are
+sort keys of the programs' rules.  Hypothesis rules draw body predicates from
+the bias's body predicates (plus head predicates when recursion is enabled),
+use only variables, have distinct canonical head variables, and must be safe
+(head variables occur in the body) and connected.  Multi-rule candidates are
 produced only when recursion is enabled; non-recursive unions are the
 combine stage's job.
 """
@@ -133,8 +133,8 @@ def _all_rules_can_fire(p: Program, edb_preds: frozenset[tuple[str, int]]) -> bo
     by this program; derivability is the fixpoint of "some rule for the
     predicate has an all-available body".  A recursive program without a base
     rule fails this check, as does a rule consuming an underivable invented
-    head predicate.  Assumes background facts only populate the declared body
-    predicates.
+    head predicate.  Head predicates never hold background facts (`Task`
+    rejects such tasks), so a head predicate is available only if derivable.
     """
     derivable: set[tuple[str, int]] = set()
     changed = True
@@ -205,23 +205,34 @@ def enumerate_rules(bias: Bias, body_len: int) -> list[Rule]:
 
 
 class CandidateGenerator:
-    """Stateful candidate stream over a bias; single-owner, engine-driven."""
+    """Stateful candidate stream over a bias; single-owner, engine-driven.
 
-    def __init__(self, bias: Bias, *, ordering: str = "by-size",
-                 size_cap: int | None = None):
-        if ordering not in ("by-size", "unordered"):
-            raise ValueError(f"unknown ordering {ordering!r}")
+    Every enumerated rule gets a dense integer id, its index in `_rules`.
+    Specialisation anchors are numbered in arrival order, and for each rule
+    id the generator keeps a bitset over anchor numbers: bit k is set iff
+    some rule of anchor k theta-subsumes that rule.  A program is blocked iff
+    some anchor subsumes every one of its rules, i.e. iff the AND of its
+    rules' bitsets is non-zero.  Bitsets are extended lazily, when a
+    candidate containing the rule reaches the check, so each (anchor, rule)
+    pair is tested at most once.  Rule ids follow `Rule.sort_key` order,
+    because rule sizes are enumerated in increasing order.
+    """
+
+    def __init__(self, bias: Bias, *, size_cap: int | None = None):
         self.bias = bias
-        self.ordering = ordering
         cap = bias.max_program_size if size_cap is None else size_cap
         self.size_cap = min(cap, bias.max_program_size)
-        self.emitted: set[Program] = set()
-        self._spec_anchors: list[Program] = []
+        self._anchors: list[Program] = []
+        self._anchor_set: set[Program] = set()
         self._exact: set[Program] = set()
         self._size = 1
-        self._buffer: deque[Program] = deque()
-        self._rules_by_size: dict[int, list[Rule]] = {}
-        self._flat_rules: list[Rule] = []
+        self._buffer: deque[tuple[Program, tuple[int, ...]]] = deque()
+        self._rules: list[Rule] = []
+        # per rule id: bitset of subsuming anchors, and anchors tested so far
+        self._subsumed_by: list[int] = []
+        self._anchors_tested: list[int] = []
+        self._ids_by_size: dict[int, list[int]] = {}
+        self._flat_ids: list[int] = []
         self._flat_built_upto = 1
 
     # -- constraints --------------------------------------------------------
@@ -230,8 +241,9 @@ class CandidateGenerator:
         if c.kind == PRUNE_EXACT:
             self._exact.add(c.anchor)
         elif c.kind == PRUNE_SPECIALIZATIONS:
-            if c.anchor not in self._spec_anchors:
-                self._spec_anchors.append(c.anchor)
+            if c.anchor not in self._anchor_set:
+                self._anchor_set.add(c.anchor)
+                self._anchors.append(c.anchor)
         else:
             raise ValueError(f"unknown constraint kind {c.kind!r}")
 
@@ -242,25 +254,45 @@ class CandidateGenerator:
     # -- stream -------------------------------------------------------------
 
     def next_candidate(self) -> Program | None:
-        """The next constraint-consistent candidate, or None when exhausted."""
+        """The next constraint-consistent candidate, or None when exhausted.
+
+        Programs are unique by construction, so none is emitted twice.
+        """
         while True:
             while not self._buffer:
                 if not self._advance():
                     return None
-            p = self._buffer.popleft()
-            if self._blocked(p):
-                continue
-            self.emitted.add(p)
-            return p
+            p, ids = self._buffer.popleft()
+            if not self._blocked(p, ids):
+                return p
 
     def __iter__(self):
         while (p := self.next_candidate()) is not None:
             yield p
 
-    def _blocked(self, p: Program) -> bool:
-        if p.size > self.size_cap or p in self.emitted or p in self._exact:
+    def _blocked(self, p: Program, ids: tuple[int, ...]) -> bool:
+        if p.size > self.size_cap or (self._exact and p in self._exact):
             return True
-        return any(program_subsumes(a, p) for a in self._spec_anchors)
+        n_anchors = len(self._anchors)
+        if not n_anchors:
+            return False
+        live = -1
+        for i in ids:
+            if self._anchors_tested[i] < n_anchors:
+                self._extend_bitset(i, n_anchors)
+            live &= self._subsumed_by[i]
+            if not live:
+                return False
+        return True
+
+    def _extend_bitset(self, rule_id: int, n_anchors: int) -> None:
+        rule = self._rules[rule_id]
+        bits = self._subsumed_by[rule_id]
+        for k in range(self._anchors_tested[rule_id], n_anchors):
+            if any(theta_subsumes(a, rule) for a in self._anchors[k].rules):
+                bits |= 1 << k
+        self._subsumed_by[rule_id] = bits
+        self._anchors_tested[rule_id] = n_anchors
 
     def _advance(self) -> bool:
         self._size += 1
@@ -271,26 +303,33 @@ class CandidateGenerator:
 
     # -- enumeration --------------------------------------------------------
 
-    def _rules_of_size(self, rsize: int) -> list[Rule]:
+    def _rules_of_size(self, rsize: int) -> list[int]:
+        """Ids of the rules of size rsize, interning them on first request."""
         if rsize < 2 or rsize > 1 + self.bias.max_body:
             return []
-        if rsize not in self._rules_by_size:
-            self._rules_by_size[rsize] = enumerate_rules(self.bias, rsize - 1)
-        return self._rules_by_size[rsize]
+        if rsize not in self._ids_by_size:
+            rules = enumerate_rules(self.bias, rsize - 1)
+            first = len(self._rules)
+            self._rules.extend(rules)
+            self._subsumed_by.extend([0] * len(rules))
+            self._anchors_tested.extend([0] * len(rules))
+            self._ids_by_size[rsize] = list(range(first, len(self._rules)))
+        return self._ids_by_size[rsize]
 
-    def _flat_upto(self, rsize: int) -> list[Rule]:
-        """Rules of size 2..rsize in stream order, cached incrementally."""
+    def _flat_upto(self, rsize: int) -> list[int]:
+        """Ids of the rules of size 2..rsize in stream order, cached incrementally."""
         rsize = min(rsize, 1 + self.bias.max_body)
         while self._flat_built_upto < rsize:
             self._flat_built_upto += 1
-            self._flat_rules.extend(self._rules_of_size(self._flat_built_upto))
-        return self._flat_rules
+            self._flat_ids.extend(self._rules_of_size(self._flat_built_upto))
+        return self._flat_ids
 
-    def _programs_of_total(self, total: int) -> list[Program]:
-        programs = [Program([r]) for r in self._rules_of_size(total)]
+    def _programs_of_total(self, total: int) -> list[tuple[Program, tuple[int, ...]]]:
+        rules = self._rules
+        programs = [(Program([rules[i]]), (i,)) for i in self._rules_of_size(total)]
         if self.bias.enable_recursion and self.bias.max_clauses >= 2:
-            rules = self._flat_upto(total - 2)
-            chosen: list[Rule] = []
+            flat = self._flat_upto(total - 2)
+            chosen: list[int] = []
 
             def rec(start: int, remaining: int) -> None:
                 if remaining == 0:
@@ -300,25 +339,28 @@ class CandidateGenerator:
                 if len(chosen) >= self.bias.max_clauses or remaining < 2:
                     return
                 budget_rules = self.bias.max_clauses - len(chosen)
-                for i in range(start, len(rules)):
-                    sz = rules[i].size
+                for j in range(start, len(flat)):
+                    sz = rules[flat[j]].size
                     if sz > remaining:
                         continue
                     # the leftover must be fillable with 1..budget-1 more rules
                     left = remaining - sz
                     if left != 0 and (budget_rules == 1 or left < 2):
                         continue
-                    chosen.append(rules[i])
-                    rec(i + 1, left)
+                    chosen.append(flat[j])
+                    rec(j + 1, left)
                     chosen.pop()
 
             rec(0, total)
         edb = self.bias.body_preds
-        programs = [p for p in programs if _all_rules_can_fire(p, edb)]
-        return sorted(programs, key=lambda p: tuple(r.sort_key() for r in p.rules))
+        programs = [(p, ids) for p, ids in programs if _all_rules_can_fire(p, edb)]
+        # ids ascend within each tuple, so this orders by the rules' sort keys
+        return sorted(programs, key=lambda entry: entry[1])
 
-    def _maybe_add_multi(self, programs: list[Program], chosen: list[Rule]) -> None:
-        for r1, r2 in itertools.permutations(chosen, 2):
+    def _maybe_add_multi(self, programs: list[tuple[Program, tuple[int, ...]]],
+                         chosen: list[int]) -> None:
+        rules = [self._rules[i] for i in chosen]
+        for r1, r2 in itertools.permutations(rules, 2):
             if theta_subsumes(r1, r2):
                 return
-        programs.append(Program(list(chosen)))
+        programs.append((Program(rules), tuple(chosen)))

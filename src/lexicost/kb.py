@@ -15,6 +15,7 @@ from typing import Iterable, Iterator
 
 from .errors import (
     ArityMismatchError,
+    BackgroundHeadPredicateError,
     InvalidBiasValueError,
     LexicostError,
     NoPositiveExamplesError,
@@ -279,6 +280,11 @@ class Task:
         for a in self.bk_facts:
             if not a.is_ground:
                 raise ParseError(f"background fact is not ground: {a}", 0, 0)
+            if (a.predicate, a.arity) in self.bias.head_preds:
+                raise BackgroundHeadPredicateError(
+                    f"background fact {a} uses head predicate "
+                    f"{a.predicate}/{a.arity}"
+                )
         for a in itertools.chain(self.pos, self.neg):
             validate_example(a, self.bias)
 
@@ -484,9 +490,7 @@ def parse_task(bk_text: str, exs_text: str, bias_text: str) -> Task:
     return Task(bk_facts=facts, pos=pos, neg=neg, bias=bias)
 
 
-def parse_rule(text: str) -> Rule:
-    """Parse one rule of the canonical `head:- b1,b2.` form."""
-    sc = _Scanner(text)
+def _parse_rule(sc: _Scanner) -> Rule:
     head = _parse_atom(sc)
     body: list[Atom] = []
     if sc.try_consume(":-"):
@@ -495,23 +499,22 @@ def parse_rule(text: str) -> Rule:
             if not sc.try_consume(","):
                 break
     sc.expect(".")
+    return Rule(head, body)
+
+
+def parse_rule(text: str) -> Rule:
+    """Parse one rule of the canonical `head:- b1,b2.` form."""
+    sc = _Scanner(text)
+    rule = _parse_rule(sc)
     if not sc.eof:
         raise sc.error("trailing input after rule")
-    return Rule(head, body)
+    return rule
 
 
 def parse_program(text: str) -> Program:
     """Parse a newline-separated list of rules; inverse of render_program."""
-    rules = []
     sc = _Scanner(text)
+    rules = []
     while not sc.eof:
-        head = _parse_atom(sc)
-        body: list[Atom] = []
-        if sc.try_consume(":-"):
-            while True:
-                body.append(_parse_atom(sc))
-                if not sc.try_consume(","):
-                    break
-        sc.expect(".")
-        rules.append(Rule(head, body))
+        rules.append(_parse_rule(sc))
     return Program(rules)

@@ -26,6 +26,20 @@ def make_task(bk, pos, neg, head_preds, body_preds, max_vars=3, max_body=2,
     )
 
 
+# (head predicate, body predicates, bias keywords) of the planted-concept
+# fuzz tasks
+PLANTED_SHAPES = [
+    (("f", 1), [("g", 1), ("h", 1), ("e", 2)],
+     dict(max_vars=2, max_body=2, max_clauses=2)),
+    (("f", 1), [("p", 1), ("q", 1), ("r", 1)],
+     dict(max_vars=1, max_body=2, max_clauses=2)),
+    (("f", 2), [("e", 2), ("g", 1)],
+     dict(max_vars=3, max_body=2, max_clauses=1)),
+    (("f", 1), [("g", 1), ("e", 2)],
+     dict(max_vars=2, max_body=2, max_clauses=2, enable_recursion=True)),
+]
+
+
 @pytest.fixture
 def trains_task():
     """Separable toy: eastbound trains are exactly those with a closed car."""

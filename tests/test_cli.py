@@ -120,6 +120,52 @@ class TestLearnCommand:
         ])
         assert code == EXIT_RESOURCE
 
+    def test_recursion_error_exit_3(self, trains_dir, monkeypatch, capsys):
+        from lexicost import cli
+
+        def boom(task, options):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "learn", boom)
+        code = main([
+            "learn",
+            "--bk", str(trains_dir / "bk.datalog"),
+            "--exs", str(trains_dir / "exs.datalog"),
+            "--bias", str(trains_dir / "bias.txt"),
+            "--cost", "error",
+        ])
+        assert code == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_background_on_head_predicate_exit_2(self, tmp_path, capsys):
+        # the empty program already covers the positive through the
+        # background; such tasks are rejected rather than mis-costed
+        d = tmp_path / "task"
+        d.mkdir()
+        (d / "bk.datalog").write_text("f(a). p(a). p(b).")
+        (d / "exs.datalog").write_text("pos(f(a)). neg(f(b)).")
+        (d / "bias.txt").write_text(
+            "head_pred(f,1). body_pred(p,1). max_vars(1). max_body(1)."
+        )
+        code = main([
+            "learn",
+            "--bk", str(d / "bk.datalog"),
+            "--exs", str(d / "exs.datalog"),
+            "--bias", str(d / "bias.txt"),
+            "--cost", "error",
+        ])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "head predicate f/1" in captured.err
+
+        rows = read_results_csv(run_bench(SuiteConfig(
+            root_dir=tmp_path, cost_fns=("error",), repeats=1, timing=False
+        )))
+        assert [r.status for r in rows] == ["error"]
+
     def test_dump_combine(self, trains_dir, tmp_path, capsys):
         dump = tmp_path / "combine.txt"
         code = main([
@@ -310,6 +356,26 @@ class TestBench:
         statuses = {(r.domain, r.status) for r in rows}
         assert ("broken", "io_error") in statuses
         assert ("trains", "ok") in statuses
+
+    def test_crash_in_one_job_does_not_abort_suite(self, suite_root,
+                                                   monkeypatch):
+        from lexicost import cli
+
+        real_learn = cli.learn
+
+        def learn(task, options):
+            if options.spec.name == "mdl":
+                raise RecursionError("maximum recursion depth exceeded")
+            return real_learn(task, options)
+
+        monkeypatch.setattr(cli, "learn", learn)
+        rows = read_results_csv(run_bench(SuiteConfig(
+            root_dir=suite_root / "trains", cost_fns=("error", "mdl"),
+            repeats=1, timing=False,
+        )))
+        assert [(r.cost_fn, r.status) for r in rows] == [
+            ("error", "ok"), ("mdl", "crash")
+        ]
 
     def test_invalid_config_rejected(self, suite_root):
         with pytest.raises(LexicostError):

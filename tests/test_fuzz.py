@@ -18,7 +18,7 @@ from lexicost.combiner import (
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS
 from lexicost.engine import LearnOptions, learn
 from lexicost.kb import Program
-from conftest import make_task
+from conftest import PLANTED_SHAPES, make_task
 from oracles import (
     enumerate_programs,
     exhaustive_best_costs,
@@ -32,17 +32,7 @@ SPECS = [NAMED_SPECS[name] for name in ALL_SPEC_NAMES]
 
 def _planted_task(rng: random.Random):
     """A task whose labels come from a hidden random program, with noise."""
-    shapes = [
-        (("f", 1), [("g", 1), ("h", 1), ("e", 2)],
-         dict(max_vars=2, max_body=2, max_clauses=2)),
-        (("f", 1), [("p", 1), ("q", 1), ("r", 1)],
-         dict(max_vars=1, max_body=2, max_clauses=2)),
-        (("f", 2), [("e", 2), ("g", 1)],
-         dict(max_vars=3, max_body=2, max_clauses=1)),
-        (("f", 1), [("g", 1), ("e", 2)],
-         dict(max_vars=2, max_body=2, max_clauses=2, enable_recursion=True)),
-    ]
-    head, body, bias_kw = shapes[rng.randrange(len(shapes))]
+    head, body, bias_kw = PLANTED_SHAPES[rng.randrange(len(PLANTED_SHAPES))]
     constants = [f"c{i}" for i in range(rng.randint(3, 5))]
     facts = random_facts(rng, body, constants, rng.randint(3, 12))
     hp, ha = head

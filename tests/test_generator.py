@@ -10,8 +10,16 @@ from lexicost.generator import (
     prune_specializations,
     theta_subsumes,
 )
+from lexicost.cost import NAMED_SPECS
+from lexicost.engine import LearnOptions, learn
 from lexicost.kb import Bias, Program, parse_program, parse_rule, render_program
-from oracles import brute_subsumes, enumerate_candidate_space, random_rule
+from conftest import PLANTED_SHAPES
+from oracles import (
+    brute_subsumes,
+    enumerate_candidate_space,
+    random_program,
+    random_rule,
+)
 
 
 def bias(head, body, max_vars=3, max_body=2, max_clauses=1, recursion=False):
@@ -125,6 +133,14 @@ class TestStream:
         sizes = [p.size for p in CandidateGenerator(b)]
         assert sizes == sorted(sizes)
 
+    def test_ties_broken_by_rule_sort_keys(self):
+        # max_body 3 puts single rules and rule pairs in one size class
+        b = bias({("f", 1)}, {("e", 2), ("g", 1)}, max_vars=2, max_body=3,
+                 max_clauses=2, recursion=True)
+        keys = [(p.size, tuple(r.sort_key() for r in p.rules))
+                for p in CandidateGenerator(b)]
+        assert keys == sorted(keys)
+
     def test_deterministic(self):
         b = bias({("f", 1)}, {("g", 1), ("h", 2)}, max_vars=3, max_body=2)
         assert list(CandidateGenerator(b)) == list(CandidateGenerator(b))
@@ -166,3 +182,69 @@ class TestProgramSubsumes:
         mixed = parse_program("f(X):- g(X),h(X).\nf(X):- k(X).")
         assert program_subsumes(anchor, spec)
         assert not program_subsumes(anchor, mixed)
+
+
+FIXTURE_TASKS = ["trains_task", "path_task_full", "clone_noise_task",
+                 "compression_task"]
+
+
+def _check_against_reference_filter(b: Bias, rng: random.Random) -> None:
+    """Drive a generator with anchors, duplicate anchors and cap cuts added at
+    random points, and check every emitted program against the unconstrained
+    stream filtered by `not any(program_subsumes(a, p) for a in anchors)`."""
+    full = list(CandidateGenerator(b))
+    head = next(iter(b.head_preds))
+    body = sorted(b.body_preds)
+    gen = CandidateGenerator(b)
+    anchors: list[Program] = []
+    cap = b.max_program_size
+    i = 0
+    while True:
+        while i < len(full) and (
+            full[i].size > cap or any(program_subsumes(a, full[i]) for a in anchors)
+        ):
+            i += 1
+        expected = full[i] if i < len(full) else None
+        assert gen.next_candidate() == expected
+        if expected is None:
+            return
+        i += 1
+        roll = rng.random()
+        if roll < 0.08:
+            anchor = expected
+        elif roll < 0.12:
+            anchor = rng.choice(full)
+        elif roll < 0.15:
+            anchor = random_program(rng, head, body, b.max_vars, b.max_body,
+                                    rng.randint(1, 2))
+        elif roll < 0.18 and anchors:
+            anchor = rng.choice(anchors)
+        else:
+            anchor = None
+        if anchor is not None:
+            gen.add_constraint(prune_specializations(anchor))
+            anchors.append(anchor)
+        if rng.random() < 0.005:
+            cap = min(cap, expected.size + rng.randint(0, 2))
+            gen.set_size_cap(cap)
+
+
+class TestReferenceFilter:
+    @pytest.mark.parametrize("fixture", FIXTURE_TASKS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fixture_biases(self, fixture, seed, request):
+        b = request.getfixturevalue(fixture).bias
+        _check_against_reference_filter(b, random.Random(seed))
+
+    @pytest.mark.parametrize("shape", range(len(PLANTED_SHAPES)))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planted_shapes(self, shape, seed):
+        head, body, kw = PLANTED_SHAPES[shape]
+        b = Bias(head_preds=frozenset({head}), body_preds=frozenset(body), **kw)
+        _check_against_reference_filter(b, random.Random(100 * shape + seed))
+
+    def test_closure_candidate_count(self, path_task_full):
+        # error, fnfp and fpfn walk the whole pruned stream on this task
+        r = learn(path_task_full, LearnOptions(spec=NAMED_SPECS["fnfp"]))
+        assert r.stats.generated == 984
+        assert r.cost_history == ((10, 0), (6, 0), (3, 0), (0, 0))
