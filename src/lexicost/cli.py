@@ -87,6 +87,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         bk_text = Path(args.bk).read_text()
         exs_text = Path(args.exs).read_text()
         bias_text = Path(args.bias).read_text()
+        test_text = Path(args.test_exs).read_text() if args.test_exs else None
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -102,13 +103,17 @@ def cmd_learn(args: argparse.Namespace) -> int:
     result = learn(task, options)
 
     test_conf = None
-    if args.test_exs:
-        test_pos, test_neg = parse_examples(Path(args.test_exs).read_text())
+    if test_text is not None:
+        test_pos, test_neg = parse_examples(test_text)
         test_conf = evaluate_on_test(result, task, test_pos, test_neg)
 
     if args.dump_combine:
         text = dump_problem(result.final_problem) if result.final_problem else ""
-        Path(args.dump_combine).write_text(text + ("\n" if text else ""))
+        try:
+            Path(args.dump_combine).write_text(text + ("\n" if text else ""))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
     payload = _result_json(result, test_conf)
     if args.format == "json":

@@ -200,5 +200,5 @@ def evaluate_on_test(
     test_neg = tuple(test_neg)
     for a in (*test_pos, *test_neg):
         validate_example(a, t.bias)
-    cov = coverage_of_examples(r.best, t.bk_facts, test_pos, test_neg)
+    cov = coverage_of_examples(r.best, t, test_pos, test_neg)
     return confusion_of(cov.pos_bits, cov.neg_bits, len(test_pos), len(test_neg))

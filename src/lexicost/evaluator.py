@@ -1,22 +1,45 @@
-"""Bottom-up least-model evaluation and example coverage.
+"""Least-model evaluation and example coverage over an indexed fact store.
 
 Entailment of an example is membership of the ground example atom in the
-least Herbrand model of the background facts plus the hypothesis.  The
-fixpoint is computed by semi-naive iteration: each round only re-derives
-through rule bodies that can touch an atom derived in the previous round.
+least Herbrand model of the background facts plus the hypothesis.  Every
+rule body is evaluated by one join (`_join`): a backtracking search over the
+body in a fixed order, in which each literal probes a hash index keyed by
+its already-bound argument positions instead of scanning its relation.
+
+Facts live in a store holding one tuple set per (predicate, arity).  An
+index on a set of bound positions is built the first time a join probes
+that relation with that binding pattern, and kept.  A task's store is
+built on its first coverage call, not while parsing, and serves every later
+call on the same task.
+
+Coverage takes one of two paths:
+
+- Goal-directed, when no body literal uses a predicate that a rule of the
+  program defines.  For each example, the head is bound to the example's
+  arguments and the body is searched for one satisfying binding, stopping at
+  the first.  No head relation is built: this path derives at most one head
+  atom per example, and only those atoms count against `max_atoms`.
+- Semi-naive otherwise, as is `least_model` for every program.  The derived
+  relations live in a per-call overlay on the store; their indexes are
+  extended as atoms arrive, and after the first round a rule fires only
+  through a body literal that reads an atom of the previous round.  Every
+  derived atom counts against `max_atoms`.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import LengthMismatchError, LexicostError, ResourceLimitError
 from .kb import Atom, Program, Rule, Task, const
 
 DEFAULT_ATOM_CAP = 10_000_000
 
-# internal ground-atom form: (predicate, (constant names...))
-_Ground = tuple[str, tuple[str, ...]]
+# a relation's name: (predicate, arity)
+_Key = tuple[str, int]
 
 
 @dataclass(frozen=True)
@@ -55,162 +78,339 @@ def string_to_bits(s: str) -> int:
     return bits
 
 
-def _ground(a: Atom) -> _Ground:
-    return (a.predicate, tuple(t.name for t in a.args))
+def _getter(positions: tuple[int, ...]) -> Callable:
+    """Reads an index key off a tuple: the values at `positions`.  Index
+    builds (on fact tuples) and probes (on environments) use the same
+    getter shape, so their keys agree, a single position giving a bare
+    value."""
+    if not positions:
+        return lambda _row: ()
+    return itemgetter(*positions)
 
 
-# A compiled body literal: (predicate, argspec) where each argspec entry is
-# ('v', var_index) or ('c', constant_name).
-def _compile_atom(a: Atom, var_ids: dict[str, int]):
-    spec = []
-    for t in a.args:
-        if t.is_var:
-            spec.append(("v", var_ids.setdefault(t.name, len(var_ids))))
-        else:
-            spec.append(("c", t.name))
-    return (a.predicate, tuple(spec))
+def _row_getter(slots: tuple[int, ...]) -> Callable:
+    """Reads a ground tuple for an atom off an environment."""
+    if len(slots) >= 2:
+        return itemgetter(*slots)
+    return lambda env: tuple([env[s] for s in slots])
 
 
-def _compile_rule(rule: Rule):
-    var_ids: dict[str, int] = {}
-    head = _compile_atom(rule.head, var_ids)
-    n_head_vars = len(var_ids)
-    body = tuple(_compile_atom(a, var_ids) for a in rule.body)
-    body_vars = {v for _, spec in body for kind, v in spec if kind == "v"}
-    if any(i not in body_vars for i in range(n_head_vars)):
+class _Relation:
+    """A set of ground tuples plus hash indexes on bound-argument positions."""
+
+    __slots__ = ("tuples", "indexes")
+
+    def __init__(self, tuples: Iterable[tuple[str, ...]] = ()):
+        self.tuples = set(tuples)
+        self.indexes: dict[tuple[int, ...], tuple[Callable, dict]] = {}
+
+    def index(self, positions: tuple[int, ...]) -> dict:
+        """The tuples grouped by their values at `positions`; built once."""
+        entry = self.indexes.get(positions)
+        if entry is None:
+            key_of, idx = _getter(positions), {}
+            for row in self.tuples:
+                idx.setdefault(key_of(row), []).append(row)
+            entry = self.indexes[positions] = (key_of, idx)
+        return entry[1]
+
+    def add(self, row: tuple[str, ...]) -> bool:
+        """Insert a tuple, extending every index built so far; False if
+        it was already present."""
+        if row in self.tuples:
+            return False
+        self.tuples.add(row)
+        for key_of, idx in self.indexes.values():
+            idx.setdefault(key_of(row), []).append(row)
+        return True
+
+
+# A fact store: one relation per (predicate, arity); an absent relation is
+# created empty on first lookup.
+_Store = defaultdict[_Key, _Relation]
+
+
+def _store_of(facts: Iterable[Atom]) -> _Store:
+    store: _Store = defaultdict(_Relation)
+    for a in facts:
+        store[(a.predicate, a.arity)].tuples.add(tuple(t.name for t in a.args))
+    return store
+
+
+def fact_store(t: Task) -> _Store:
+    """The task's fact store, built by the first call and kept on the task."""
+    store = t.__dict__.get("_fact_store")
+    if store is None:
+        store = _store_of(t.bk_facts)
+        object.__setattr__(t, "_fact_store", store)
+    return store
+
+
+# ---------------------------------------------------------------------------
+# Compiled rules and join plans.  Every variable and every constant of a rule
+# gets a slot in a flat environment; constant slots are filled in advance, so
+# a probe key is read off the environment alone.
+# ---------------------------------------------------------------------------
+
+
+class _CompiledRule(NamedTuple):
+    head_key: _Key
+    head: tuple[int, ...]
+    body: tuple[tuple[_Key, tuple[int, ...]], ...]
+    template: tuple[str | None, ...]  # constant per slot; None for a variable
+
+    @property
+    def constant_slots(self) -> set[int]:
+        return {s for s, c in enumerate(self.template) if c is not None}
+
+
+def _compile_rule(rule: Rule) -> _CompiledRule:
+    slots: dict[str, int] = {}
+    template: list[str | None] = []
+
+    def slots_of(a: Atom) -> tuple[int, ...]:
+        out = []
+        for t in a.args:
+            # variable and constant names never clash: their first letters differ
+            if t.name not in slots:
+                slots[t.name] = len(template)
+                template.append(None if t.is_var else t.name)
+            out.append(slots[t.name])
+        return tuple(out)
+
+    head = slots_of(rule.head)
+    body = tuple(((a.predicate, a.arity), slots_of(a)) for a in rule.body)
+    in_body = {s for _, ss in body for s in ss}
+    if any(template[s] is None and s not in in_body for s in head):
         raise LexicostError(
             f"rule is not range-restricted (head variable missing from body): {rule}"
         )
-    return (head, body, len(var_ids))
+    return _CompiledRule((rule.head.predicate, rule.head.arity), head, body,
+                         tuple(template))
 
 
-def _match(spec, fact_args, env) -> bool:
-    """Extend env in place to match a compiled literal against ground args."""
-    trail = []
-    for (kind, val), arg in zip(spec, fact_args):
-        if kind == "c":
-            if val != arg:
-                for i in trail:
-                    env[i] = None
-                return False
+def _split(slots: tuple[int, ...], bound: set[int]):
+    """Classify a literal's positions against the slots bound before it:
+    the bound positions, the (position, slot) pairs that bind a new slot,
+    and those that repeat a slot bound earlier in the same literal.  Adds
+    the newly bound slots to `bound`."""
+    positions = tuple(p for p, s in enumerate(slots) if s in bound)
+    binds, repeats = [], []
+    for p, s in enumerate(slots):
+        if p in positions:
+            continue
+        if s in bound:
+            repeats.append((p, s))
         else:
-            bound = env[val]
-            if bound is None:
-                env[val] = arg
-                trail.append(val)
-            elif bound != arg:
-                for i in trail:
-                    env[i] = None
-                return False
-    return True
+            binds.append((p, s))
+            bound.add(s)
+    return positions, tuple(binds), tuple(repeats)
 
 
-def _bound_count(spec, env) -> int:
-    return sum(1 for kind, val in spec if kind == "c" or env[val] is not None)
+def _plan(body, bound: set[int], relations: _Store,
+          first: int | None = None) -> list[tuple]:
+    """Order the body for a join from the slots bound before it.  A step is
+    (relation key, bound positions, probe key getter, binds, repeats).
 
-
-def _join(body, use_delta_at, relations, delta, env, out, head):
-    """Backtracking join over the remaining body literals.
-
-    `use_delta_at` names the one literal that must read from the delta
-    relation; all others read the full relations.  Remaining literals are
-    chosen most-bound-first, smaller relation first.
+    `first` (the literal that reads the previous round's delta) leads.  Then
+    at each step: a literal with no free argument, else the one with most
+    bound arguments, else the one over the smallest relation.
     """
-    def rec(remaining: tuple[int, ...], env: list) -> None:
-        if not remaining:
-            args = tuple(
-                val if kind == "c" else env[val] for kind, val in head[1]
-            )
-            out.add((head[0], args))
-            return
-        # pick the next literal: delta literal first, then most bound / smallest
-        def choose_key(i):
-            pred, spec = body[i]
-            rel = delta if i == use_delta_at else relations
-            size = len(rel.get(pred, ()))
-            return (0 if i == use_delta_at else 1, -_bound_count(spec, env), size)
+    bound = set(bound)
+    remaining = list(range(len(body)))
+    steps = []
+    while remaining:
+        if first in remaining:
+            i = first
+        else:
+            def rank(j):
+                n_bound = sum(s in bound for s in body[j][1])
+                return (n_bound < len(body[j][1]), -n_bound,
+                        len(relations[body[j][0]].tuples))
 
-        i = min(remaining, key=choose_key)
-        rest = tuple(j for j in remaining if j != i)
-        pred, spec = body[i]
-        rel = delta if i == use_delta_at else relations
-        for fact_args in rel.get(pred, ()):
-            if len(fact_args) != len(spec):
-                continue
-            trail = [v for (k, v) in spec if k == "v" and env[v] is None]
-            if _match(spec, fact_args, env):
-                rec(rest, env)
-                # undo bindings introduced by this match
-                for v in trail:
-                    env[v] = None
-
-    rec(tuple(range(len(body))), env)
+            i = min(remaining, key=rank)
+        remaining.remove(i)
+        key, slots = body[i]
+        positions, binds, repeats = _split(slots, bound)
+        probe = _getter(tuple(slots[p] for p in positions))
+        steps.append((key, positions, probe, binds, repeats))
+    return steps
 
 
-def _least_model_ground(
-    rules: list, facts: set[_Ground], max_atoms: int
-) -> dict[str, set[tuple[str, ...]]]:
-    relations: dict[str, set[tuple[str, ...]]] = {}
-    for pred, args in facts:
-        relations.setdefault(pred, set()).add(args)
-    derived_count = 0
+def _join(steps, env: list, i: int = 0):
+    """Yield True once per extension of `env` satisfying `steps[i:]`.
 
-    compiled = [_compile_rule(r) for r in rules]
-    delta = {p: set(v) for p, v in relations.items()}
-    while delta:
-        derived: set[_Ground] = set()
-        for head, body, nvars in compiled:
-            for i, (pred, _spec) in enumerate(body):
-                if pred not in delta or not delta[pred]:
-                    continue
-                env: list = [None] * nvars
-                _join(body, i, relations, delta, env, derived, head)
-        new_delta: dict[str, set[tuple[str, ...]]] = {}
-        for pred, args in derived:
-            rel = relations.setdefault(pred, set())
-            if args not in rel:
-                rel.add(args)
-                new_delta.setdefault(pred, set()).add(args)
-                derived_count += 1
-                if derived_count > max_atoms:
+    A resolved step is (index, probe, binds, repeats): the index rows under
+    the probe key read off `env` bind the step's free slots, and `repeats`
+    checks a slot that occurs twice in the literal.  Slots bound by a step
+    are only read by later steps, so backtracking needs no undo.
+    """
+    if i == len(steps):
+        yield True
+        return
+    index, probe, binds, repeats = steps[i]
+    for row in index.get(probe(env), ()):
+        for p, s in binds:
+            env[s] = row[p]
+        if not repeats or all(row[p] == env[s] for p, s in repeats):
+            yield from _join(steps, env, i + 1)
+
+
+def _resolve(steps: list[tuple], relations: _Store,
+             delta: _Relation | None = None) -> list:
+    """Bind a plan to concrete indexes; `delta`, if given, serves the first
+    step."""
+    out = []
+    for n, (key, positions, probe, binds, repeats) in enumerate(steps):
+        rel = delta if n == 0 and delta is not None else relations[key]
+        out.append((rel.index(positions), probe, binds, repeats))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Goal-directed coverage
+# ---------------------------------------------------------------------------
+
+
+def _goal_directed(rules: list[_CompiledRule], store: _Store, max_atoms: int):
+    """A test of one ground atom against rules whose bodies read only the
+    store: the atom is a fact, or some rule's head binds to it and its body
+    has a solution."""
+    by_head: dict[_Key, list] = {}
+    for r in rules:
+        bound = r.constant_slots
+        constants, binds, repeats = _split(r.head, bound)
+        checks = repeats + tuple((p, r.head[p]) for p in constants)
+        steps = _resolve(_plan(r.body, bound, store), store)
+        by_head.setdefault(r.head_key, []).append(
+            (list(r.template), binds, checks, steps)
+        )
+
+    derived = 0
+
+    def holds(key: _Key, args: tuple[str, ...]) -> bool:
+        nonlocal derived
+        if args in store[key].tuples:
+            return True
+        for env, binds, checks, steps in by_head.get(key, ()):
+            for p, s in binds:
+                env[s] = args[p]
+            if all(args[p] == env[s] for p, s in checks) and any(_join(steps, env)):
+                derived += 1
+                if derived > max_atoms:
                     raise ResourceLimitError(
-                        f"least model derived more than {max_atoms} atoms"
+                        f"coverage derived more than {max_atoms} atoms"
                     )
-        delta = new_delta
+                return True
+        return False
+
+    return holds
+
+
+# ---------------------------------------------------------------------------
+# Semi-naive least model
+# ---------------------------------------------------------------------------
+
+
+def _fixpoint(rules: list[_CompiledRule], store: _Store, max_atoms: int) -> _Store:
+    """The least model, as the store's relations overlaid with copies of the
+    derived (head) relations; the store itself is left unchanged."""
+    relations = defaultdict(_Relation, store)
+    derived_keys = {r.head_key for r in rules}
+    for key in derived_keys:
+        relations[key] = _Relation(store[key].tuples if key in store else ())
+
+    # the first round runs every rule over the initial relations; later
+    # rounds run each rule once per body literal on a derived relation, with
+    # that literal reading only the atoms new in the previous round
+    first_round = []
+    later = []
+    for r in rules:
+        consts = r.constant_slots
+        first_round.append((r, _resolve(_plan(r.body, consts, relations), relations)))
+        for i, (key, _slots) in enumerate(r.body):
+            if key in derived_keys:
+                later.append((r, key, _plan(r.body, consts, relations, first=i)))
+
+    count = 0
+
+    def insert(new: dict[_Key, set]) -> dict[_Key, _Relation]:
+        nonlocal count
+        delta = {}
+        for key, rows in new.items():
+            fresh = [row for row in rows if relations[key].add(row)]
+            count += len(fresh)
+            if count > max_atoms:
+                raise ResourceLimitError(
+                    f"least model derived more than {max_atoms} atoms"
+                )
+            if fresh:
+                delta[key] = _Relation(fresh)
+        return delta
+
+    def fire(r: _CompiledRule, steps, new: dict[_Key, set]) -> None:
+        env = list(r.template)
+        head_of = _row_getter(r.head)
+        out = new.setdefault(r.head_key, set())
+        for _ in _join(steps, env):
+            out.add(head_of(env))
+
+    new: dict[_Key, set] = {}
+    for r, steps in first_round:
+        fire(r, steps, new)
+    delta = insert(new)
+    while delta:
+        new = {}
+        for r, key, plan in later:
+            if key in delta:
+                fire(r, _resolve(plan, relations, delta[key]), new)
+        delta = insert(new)
     return relations
+
+
+# ---------------------------------------------------------------------------
+# Public entry points
+# ---------------------------------------------------------------------------
 
 
 def least_model(
     p: Program, facts: frozenset[Atom] | set[Atom], *, max_atoms: int = DEFAULT_ATOM_CAP
 ) -> frozenset[Atom]:
     """The least fixpoint of the program over the facts; a superset of facts."""
-    relations = _least_model_ground(
-        list(p.rules), {_ground(a) for a in facts}, max_atoms
+    relations = _fixpoint(
+        [_compile_rule(r) for r in p.rules], _store_of(facts), max_atoms
     )
     return frozenset(
-        Atom(pred, tuple(const(name) for name in args))
-        for pred, tuples in relations.items()
-        for args in tuples
+        Atom(pred, tuple(const(name) for name in row))
+        for (pred, _arity), rel in relations.items()
+        for row in rel.tuples
     )
 
 
 def coverage_of_examples(
     p: Program,
-    facts: frozenset[Atom],
+    t: Task,
     pos: tuple[Atom, ...],
     neg: tuple[Atom, ...],
     *,
     max_atoms: int = DEFAULT_ATOM_CAP,
 ) -> Coverage:
-    relations = _least_model_ground(
-        list(p.rules), {_ground(a) for a in facts}, max_atoms
-    )
+    """Which of the given examples the hypothesis entails over the task's
+    background facts."""
+    rules = [_compile_rule(r) for r in p.rules]
+    store = fact_store(t)
+    if p.is_recursive:
+        model = _fixpoint(rules, store, max_atoms)
+
+        def holds(key: _Key, args: tuple[str, ...]) -> bool:
+            return args in model[key].tuples
+    else:
+        holds = _goal_directed(rules, store, max_atoms)
 
     def bits(examples: tuple[Atom, ...]) -> int:
         out = 0
         for i, a in enumerate(examples):
-            pred, args = _ground(a)
-            if args in relations.get(pred, ()):
+            if holds((a.predicate, len(a.args)), tuple([x.name for x in a.args])):
                 out |= 1 << i
         return out
 
@@ -219,7 +419,7 @@ def coverage_of_examples(
 
 def coverage(p: Program, t: Task, *, max_atoms: int = DEFAULT_ATOM_CAP) -> Coverage:
     """Which training examples the hypothesis entails over the task's facts."""
-    return coverage_of_examples(p, t.bk_facts, t.pos, t.neg, max_atoms=max_atoms)
+    return coverage_of_examples(p, t, t.pos, t.neg, max_atoms=max_atoms)
 
 
 def confusion(c: Coverage, t: Task) -> Confusion:

@@ -352,6 +352,9 @@ class CandidateGenerator:
                     chosen.pop()
 
             rec(0, total)
+            # `rec` refers to itself: without this the cycle keeps the
+            # generator alive until the cyclic garbage collector runs
+            del rec
         edb = self.bias.body_preds
         programs = [(p, ids) for p, ids in programs if _all_rules_can_fire(p, edb)]
         # ids ascend within each tuple, so this orders by the rules' sort keys

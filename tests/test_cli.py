@@ -183,6 +183,37 @@ class TestLearnCommand:
             ident, size, pos_bits, neg_bits = line.split()
             assert len(pos_bits) == 2 and len(neg_bits) == 2
 
+    def test_missing_test_examples_exit_2(self, trains_dir, tmp_path, capsys):
+        code = main([
+            "learn",
+            "--bk", str(trains_dir / "bk.datalog"),
+            "--exs", str(trains_dir / "exs.datalog"),
+            "--bias", str(trains_dir / "bias.txt"),
+            "--cost", "errorsize",
+            "--test-exs", str(tmp_path / "missing.datalog"),
+        ])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "missing.datalog" in captured.err
+
+    def test_dump_combine_into_missing_directory_exit_2(self, trains_dir,
+                                                        tmp_path, capsys):
+        code = main([
+            "learn",
+            "--bk", str(trains_dir / "bk.datalog"),
+            "--exs", str(trains_dir / "exs.datalog"),
+            "--bias", str(trains_dir / "bias.txt"),
+            "--cost", "errorsize",
+            "--dump-combine", str(tmp_path / "no-such-dir" / "combine.txt"),
+        ])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "no-such-dir" in captured.err
+
     def test_text_format(self, trains_dir, capsys):
         code = main([
             "learn",

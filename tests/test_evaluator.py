@@ -1,19 +1,24 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from lexicost.engine import LearnResult, LearnStats, evaluate_on_test
 from lexicost.errors import LengthMismatchError, ResourceLimitError
 from lexicost.evaluator import (
+    Confusion,
     Coverage,
     bits_to_string,
     confusion,
     coverage,
+    fact_store,
     least_model,
     string_to_bits,
 )
 from lexicost.generator import theta_subsumes
-from lexicost.kb import Program, atom, parse_program, parse_rule
-from conftest import make_task
+from lexicost.kb import Program, Rule, atom, parse_program, parse_rule, parse_task
+from conftest import TRAINS_BIAS, TRAINS_BK, TRAINS_EXS, make_task
 from oracles import (
     naive_coverage_bits,
     naive_least_model,
@@ -195,6 +200,170 @@ class TestCoverage:
             p = random_program(rng, ("f", 1), preds, 3, 2, rng.randint(1, 2))
             cov = coverage(p, task)
             assert (cov.pos_bits, cov.neg_bits) == naive_coverage_bits(p, task)
+
+
+# Random tasks for the oracle property: three head predicates (so programs
+# may have several heads and rules may read a head predicate that no rule of
+# the program defines), constants anywhere, and variables that may repeat.
+_CONSTANTS = ("a", "b", "c")
+_HEADS = (("f", 1), ("g", 2), ("h", 1))
+_BODY = (("e", 2), ("p", 1), ("q", 1))
+_term = st.sampled_from(("A", "A", "B", "B", "C", *_CONSTANTS))
+
+
+@st.composite
+def _rules(draw):
+    hp, ha = draw(st.sampled_from(_HEADS))
+    head = atom(hp, *draw(st.lists(_term, min_size=ha, max_size=ha)))
+    body = [
+        atom(pred, *draw(st.lists(_term, min_size=arity, max_size=arity)))
+        for pred, arity in draw(
+            st.lists(st.sampled_from(_BODY + _HEADS), min_size=1, max_size=3)
+        )
+    ]
+    # keep the rule range-restricted
+    in_body = {v for a in body for v in a.variables()}
+    body += [atom("p", v) for v in head.variables() if v not in in_body]
+    return Rule(head, body)
+
+
+_ground_atoms = {
+    (pred, arity): [atom(pred, *args)
+                    for args in itertools.product(_CONSTANTS, repeat=arity)]
+    for pred, arity in _HEADS + _BODY
+}
+
+
+@st.composite
+def _tasks_and_programs(draw):
+    facts = draw(st.sets(st.sampled_from(
+        [a for key in _BODY for a in _ground_atoms[key]]), max_size=20))
+    head_atoms = [a for key in _HEADS for a in _ground_atoms[key]]
+    labelled = draw(st.lists(st.sampled_from(head_atoms), min_size=1,
+                             max_size=8, unique=True))
+    n_pos = draw(st.integers(1, len(labelled)))
+    program = Program(draw(st.lists(_rules(), min_size=1, max_size=3)))
+    return _task(facts, labelled[:n_pos], labelled[n_pos:]), program
+
+
+def _task(facts, pos, neg):
+    return make_task(
+        bk=[(a.predicate, *(t.name for t in a.args)) for a in facts],
+        pos=[(a.predicate, *(t.name for t in a.args)) for a in pos],
+        neg=[(a.predicate, *(t.name for t in a.args)) for a in neg],
+        head_preds=set(_HEADS), body_preds=set(_BODY), enable_recursion=True,
+    )
+
+
+def _case(facts: str, pos: str, neg: str, program: str):
+    """An explicit property case from text: facts, examples, program."""
+    def atoms(text):
+        return [atom(*f.replace("(", " ").replace(",", " ").split())
+                for f in text.replace(")", "").split()]
+
+    return _task(atoms(facts), atoms(pos), atoms(neg)), parse_program(program)
+
+
+class TestIndexedCoverage:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_tasks_and_programs())
+    # non-recursive, constants in head and body
+    @example(_case("e(a,b) e(b,c) p(c)", "f(a) g(a,b)", "f(b) g(b,c)",
+                   "f(A):- e(A,B),e(B,c).\ng(a,B):- e(a,B)."))
+    # repeated head variables, repeated body variables
+    @example(_case("e(a,a) e(b,c) p(b)", "g(a,a) f(a)", "g(b,b) g(b,c)",
+                   "g(A,A):- e(A,B).\nf(A):- e(A,A)."))
+    # a body literal on a declared head predicate that no rule defines
+    @example(_case("p(a) p(b) q(a)", "f(a)", "f(b)",
+                   "f(A):- p(A),g(A,B)."))
+    # recursive and multi-head: g is derived from f, f from g and e
+    @example(_case("e(a,b) e(b,c) p(a)", "f(c) g(b,b)", "f(a) g(a,c)",
+                   "f(A):- p(A).\ng(B,B):- f(A),e(A,B).\nf(B):- g(A,A),e(A,B)."))
+    # a join of two derived relations: h is complete after the first round,
+    # while g keeps growing, so f's later atoms probe h's index
+    @example(_case("e(a,b) e(b,c) e(c,d) p(d)", "f(a) f(b) f(c)", "f(d)",
+                   "h(A):- p(A).\ng(A,B):- e(A,B).\ng(A,B):- e(A,C),g(C,B).\n"
+                   "f(A):- g(A,B),h(B)."))
+    def test_matches_naive_oracle(self, case):
+        task, program = case
+        cov = coverage(program, task)
+        assert (cov.pos_bits, cov.neg_bits) == naive_coverage_bits(program, task)
+        assert least_model(program, task.bk_facts) == naive_least_model(
+            program, task.bk_facts)
+
+    def test_graph_of_300_constants(self):
+        rng = random.Random(2016)
+        nodes = [f"v{i}" for i in range(300)]
+        edges = {(a, rng.choice(nodes)) for a in nodes for _ in range(2)}
+        p = set(rng.sample(nodes, 150))
+        q = set(rng.sample(nodes, 150))
+        bk = ([("e", a, b) for a, b in edges] + [("p", a) for a in p]
+              + [("q", a) for a in q])
+        rng.shuffle(nodes)
+        train, held = nodes[:40], nodes[40:80]
+
+        def labelled(names):
+            half = len(names) // 2
+            return ([("f", a) for a in names[:half]],
+                    [("f", a) for a in names[half:]])
+
+        pos, neg = labelled(train)
+        task = make_task(bk, pos, neg, head_preds={("f", 1)},
+                         body_preds={("e", 2), ("p", 1), ("q", 1)}, max_body=3)
+        held_pos, held_neg = labelled(held)
+        held_task = make_task(bk, held_pos, held_neg, head_preds={("f", 1)},
+                              body_preds={("e", 2), ("p", 1), ("q", 1)})
+        for text in ("f(A):- e(A,B),q(B).", "f(A):- e(B,A),p(B).",
+                     "f(A):- e(A,B),e(B,C),q(C).", "f(A):- e(A,B),p(A),q(B)."):
+            program = parse_program(text)
+            # one naive model serves both example sets
+            model = naive_least_model(program, task.bk_facts)
+            cov = coverage(program, task)
+            assert cov.pos_bits == sum(1 << i for i, a in enumerate(task.pos) if a in model)
+            assert cov.neg_bits == sum(1 << i for i, a in enumerate(task.neg) if a in model)
+            result = LearnResult(best=program, cost=(), stats=LearnStats(),
+                                 train_conf=Confusion(0, 0, 0, 0), proof="optimal")
+            got = evaluate_on_test(result, task, held_task.pos, held_task.neg)
+            tp = sum(a in model for a in held_task.pos)
+            fp = sum(a in model for a in held_task.neg)
+            assert got == Confusion(tp=tp, fp=fp, tn=len(held_task.neg) - fp,
+                                    fn=len(held_task.pos) - tp)
+
+    def test_recursive_coverage_respects_atom_cap(self):
+        # closure over a complete graph on 40 nodes derives ~1600 atoms
+        nodes = [f"n{i}" for i in range(40)]
+        task = make_task(
+            bk=[("edge", a, b) for a in nodes for b in nodes if a != b],
+            pos=[("path", "n0", "n1")], neg=[],
+            head_preds={("path", 2)}, body_preds={("edge", 2)},
+            enable_recursion=True, max_clauses=2,
+        )
+        p = parse_program(
+            "path(X,Y):- edge(X,Y).\npath(X,Y):- edge(X,Z),path(Z,Y)."
+        )
+        with pytest.raises(ResourceLimitError):
+            coverage(p, task, max_atoms=100)
+        assert coverage(p, task).pos_bits == 1
+
+    def test_goal_directed_coverage_counts_covered_examples(self):
+        task = make_task(
+            bk=[("g", f"c{i}") for i in range(5)],
+            pos=[("f", f"c{i}") for i in range(5)], neg=[],
+            head_preds={("f", 1)}, body_preds={("g", 1)},
+        )
+        p = parse_program("f(A):- g(A).")
+        with pytest.raises(ResourceLimitError):
+            coverage(p, task, max_atoms=4)
+        assert coverage(p, task, max_atoms=5).pos_bits == 0b11111
+
+    def test_store_is_built_on_first_coverage_and_kept(self):
+        task = parse_task(TRAINS_BK, TRAINS_EXS, TRAINS_BIAS)
+        assert "_fact_store" not in vars(task)
+        coverage(parse_program("east(A):- has_car(A,B),closed(B)."), task)
+        store = fact_store(task)
+        assert vars(task)["_fact_store"] is store
+        coverage(parse_program("east(A):- has_car(A,B),long(B)."), task)
+        assert fact_store(task) is store
 
 
 class TestConfusion:
