@@ -24,7 +24,8 @@ from .combiner import dump_problem
 from .cost import parse_cost_spec
 from .engine import LearnOptions, LearnResult, evaluate_on_test, learn
 from .errors import LexicostError, ParseError, ResourceLimitError
-from .evaluator import Confusion
+from .evaluator import Confusion, fact_store
+from .generator import rule_table
 from .kb import (
     Atom,
     Task,
@@ -202,110 +203,118 @@ def stratified_split(
     return train_pos, train_neg, test_pos, test_neg
 
 
-def _bench_job(job: dict) -> ResultRow:
-    base = dict(
-        domain=job["domain"],
-        task=job["task"],
-        repeat=job["repeat"],
-        cost_fn=job["cost_fn"],
-    )
-    try:
-        pos, neg = parse_examples(job["exs_text"])
-        bias = parse_bias(job["bias_text"])
-        facts = parse_facts(job["bk_text"])
+# statuses of failed rows, most specific first; the suite carries on
+_FAILURES = (
+    (OSError, "io_error"),
+    (ResourceLimitError, "resource_limit"),
+    (ParseError, "parse_error"),
+    (LexicostError, "error"),
+    # one job that exhausts the interpreter must not abort the suite
+    (RecursionError, "crash"),
+    (MemoryError, "crash"),
+)
+_CAUGHT = tuple(kind for kind, _ in _FAILURES)
 
+
+def _status(exc: BaseException) -> str:
+    return next(status for kind, status in _FAILURES if isinstance(exc, kind))
+
+
+def _learned(task: Task, cost_fn: str, test_pos: tuple[Atom, ...],
+             test_neg: tuple[Atom, ...], timing: bool) -> dict:
+    """The result columns of one row: `learn` on the task, timed alone."""
+    spec = parse_cost_spec(cost_fn)
+    started = time.perf_counter()
+    result = learn(task, LearnOptions(spec=spec))
+    elapsed_ms = int((time.perf_counter() - started) * 1000)
+    if test_pos or test_neg:
+        conf = evaluate_on_test(result, task, test_pos, test_neg)
+    else:
+        conf = result.train_conf
+    return dict(
+        tp=conf.tp,
+        fp=conf.fp,
+        tn=conf.tn,
+        fn=conf.fn,
+        size=result.best.size,
+        cost_vector="[" + ",".join(str(v) for v in result.cost) + "]",
+        runtime_ms=elapsed_ms if timing else 0,
+        status=STATUS_OK,
+    )
+
+
+def _bench_task(job: tuple[str, str, Path, SuiteConfig]) -> list[ResultRow]:
+    """Every (repeat, cost function) row of one task directory.
+
+    The files are read and parsed once, and each split's `Task` once.  The
+    task's fact store and the bias's rule table are built before its first
+    `learn`, so `runtime_ms` times `learn` alone and no row pays for another.
+    """
+    domain, name, d, config = job
+    repeats = range(1, config.repeats + 1)
+
+    def row(cost_fn: str, repeat: int, **fields) -> ResultRow:
+        return ResultRow(domain=domain, task=name, repeat=repeat, cost_fn=cost_fn,
+                         **fields)
+
+    def failed(exc: BaseException, repeats) -> list[ResultRow]:
+        return [row(c, r, status=_status(exc)) for r in repeats for c in config.cost_fns]
+
+    try:
+        bk_text = (d / "bk.datalog").read_text()
+        exs_text = (d / "exs.datalog").read_text()
+        bias_text = (d / "bias.txt").read_text()
+        test_path = d / "test_exs.datalog"
+        test_text = test_path.read_text() if test_path.exists() else None
+        pos, neg = parse_examples(exs_text)
+        bias = parse_bias(bias_text)
+        facts = parse_facts(bk_text)
         test_pos: tuple[Atom, ...] = ()
         test_neg: tuple[Atom, ...] = ()
-        if job["split"] is not None:
-            rng = random.Random(
-                _split_seed(job["seed"], job["domain"], job["task"], job["repeat"])
-            )
-            pos, neg, test_pos, test_neg = stratified_split(
-                pos, neg, job["split"], rng
-            )
-        elif job["test_text"] is not None:
-            test_pos, test_neg = parse_examples(job["test_text"])
+        if config.split is None and test_text is not None:
+            test_pos, test_neg = parse_examples(test_text)
+    except _CAUGHT as exc:
+        return failed(exc, repeats)
 
-        task = Task(bk_facts=facts, pos=pos, neg=neg, bias=bias)
-        spec = parse_cost_spec(job["cost_fn"])
-        started = time.perf_counter()
-        result = learn(task, LearnOptions(spec=spec))
-        elapsed_ms = int((time.perf_counter() - started) * 1000)
-
-        if test_pos or test_neg:
-            conf = evaluate_on_test(result, task, test_pos, test_neg)
-        else:
-            conf = result.train_conf
-        return ResultRow(
-            **base,
-            tp=conf.tp,
-            fp=conf.fp,
-            tn=conf.tn,
-            fn=conf.fn,
-            size=result.best.size,
-            cost_vector="[" + ",".join(str(v) for v in result.cost) + "]",
-            runtime_ms=elapsed_ms if job["timing"] else 0,
-            status=STATUS_OK,
-        )
-    except ResourceLimitError:
-        return ResultRow(**base, status="resource_limit")
-    except ParseError:
-        return ResultRow(**base, status="parse_error")
-    except LexicostError:
-        return ResultRow(**base, status="error")
-    except (RecursionError, MemoryError):
-        # one job that exhausts the interpreter must not abort the suite
-        return ResultRow(**base, status="crash")
+    rows: list[ResultRow] = []
+    task = None
+    for repeat in repeats:
+        try:
+            if config.split is not None:
+                rng = random.Random(_split_seed(config.seed, domain, name, repeat))
+                train_pos, train_neg, test_pos, test_neg = stratified_split(
+                    pos, neg, config.split, rng
+                )
+                task = Task(bk_facts=facts, pos=train_pos, neg=train_neg, bias=bias)
+            elif task is None:
+                task = Task(bk_facts=facts, pos=pos, neg=neg, bias=bias)
+            fact_store(task)
+            rule_table(bias, bias.max_program_size)
+        except _CAUGHT as exc:
+            rows += failed(exc, [repeat])
+            continue
+        for cost_fn in config.cost_fns:
+            try:
+                fields = _learned(task, cost_fn, test_pos, test_neg, config.timing)
+            except _CAUGHT as exc:
+                fields = dict(status=_status(exc))
+            rows.append(row(cost_fn, repeat, **fields))
+    return rows
 
 
 def run_bench(config: SuiteConfig) -> str:
-    """Run every (task x cost_fn x repeat) and return the results CSV text."""
-    jobs = []
-    rows: list[ResultRow] = []
-    for domain, task, d in discover_tasks(config.root_dir):
-        try:
-            bk_text = (d / "bk.datalog").read_text()
-            exs_text = (d / "exs.datalog").read_text()
-            bias_text = (d / "bias.txt").read_text()
-            test_path = d / "test_exs.datalog"
-            test_text = test_path.read_text() if test_path.exists() else None
-        except OSError:
-            for cost_fn in config.cost_fns:
-                for repeat in range(1, config.repeats + 1):
-                    rows.append(
-                        ResultRow(
-                            domain=domain,
-                            task=task,
-                            repeat=repeat,
-                            cost_fn=cost_fn,
-                            status="io_error",
-                        )
-                    )
-            continue
-        for cost_fn in config.cost_fns:
-            for repeat in range(1, config.repeats + 1):
-                jobs.append(
-                    dict(
-                        domain=domain,
-                        task=task,
-                        repeat=repeat,
-                        cost_fn=cost_fn,
-                        bk_text=bk_text,
-                        exs_text=exs_text,
-                        bias_text=bias_text,
-                        test_text=test_text,
-                        split=config.split,
-                        seed=config.seed,
-                        timing=config.timing,
-                    )
-                )
+    """Run every (task x cost_fn x repeat) and return the results CSV text.
 
+    The serial loop and the worker pool both map `_bench_task` over tasks.
+    """
+    jobs = [(domain, task, d, config)
+            for domain, task, d in discover_tasks(config.root_dir)]
     if config.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows.extend(pool.map(_bench_job, jobs))
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(jobs))) as pool:
+            per_task = list(pool.map(_bench_task, jobs))
     else:
-        rows.extend(_bench_job(job) for job in jobs)
-    return write_results_csv(rows)
+        per_task = map(_bench_task, jobs)
+    return write_results_csv(row for rows in per_task for row in rows)
 
 
 def _worker_count(requested: int | None) -> int:

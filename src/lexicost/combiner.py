@@ -6,10 +6,13 @@ whose charged size is the sum of the members' sizes.  `optimal_combination`
 finds a subset whose cost vector is lexicographically minimal over all 2^n
 subsets (optionally only those within a rule-count budget, keeping the union
 inside a bias-bounded space), by depth-first branch and bound with
-per-component admissible lower bounds, then deterministically tie-breaks
-cost-equal optima to the smallest selected-id set in lexicographic order.
-`brute_force_combination` is the independent exhaustive oracle with the
-identical contract.
+per-component admissible lower bounds.  It first drops dominated entries,
+which never changes the optimal cost, and then tie-breaks cost-equal optima
+among the remaining entries to the smallest selected-id set in
+lexicographic order.  So its selection is the one that
+`brute_force_combination`, the independent exhaustive oracle, makes over
+the non-dominated entries; over all entries the two may select different
+optima of equal cost.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from .cost import CostSpec, CostVector, evaluate
 from .errors import LengthMismatchError, TooLargeError
 from .evaluator import Confusion, bits_to_string, confusion_of, string_to_bits
-from .kb import Program
+from .kb import Atom, Program, Rule
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -183,7 +186,12 @@ def _filter_dominated(entries: tuple[PromisingEntry, ...]) -> list[PromisingEntr
 def optimal_combination(
     p: CombineProblem, *, dominance_filter: bool = True
 ) -> CombineSolution:
-    """Lexicographically minimal-cost subset over all feasible subsets."""
+    """Lexicographically minimal-cost subset over all feasible subsets.
+
+    Among cost-equal optima it selects the smallest id set of the entries
+    that it searches: the non-dominated ones, or with `dominance_filter=False`
+    all of them, which makes the selection `brute_force_combination`'s.
+    """
     entries = list(p.entries)
     if dominance_filter:
         entries = _filter_dominated(p.entries)
@@ -254,7 +262,8 @@ def brute_force_combination(p: CombineProblem) -> CombineSolution:
 
 
 def dump_problem(p: CombineProblem) -> str:
-    """One entry per line: `id size pos_bits neg_bits` with bitstrings.
+    """A `max_rules N` line (`-` for no budget), then one entry per line:
+    `id size rules pos_bits neg_bits`, with bitstrings.
 
     A zero-length bitset (e.g. a task with no negatives) is written as `-`.
     """
@@ -262,32 +271,33 @@ def dump_problem(p: CombineProblem) -> str:
     def bstr(bits: int, length: int) -> str:
         return bits_to_string(bits, length) if length else "-"
 
-    return "\n".join(
-        f"{e.id} {e.size} {bstr(e.pos_bits, p.n_pos)} "
+    budget = "-" if p.max_rules is None else p.max_rules
+    return "\n".join([f"max_rules {budget}"] + [
+        f"{e.id} {e.size} {len(e.program.rules)} {bstr(e.pos_bits, p.n_pos)} "
         f"{bstr(e.neg_bits, p.n_neg)}"
         for e in p.entries
-    )
+    ])
 
 
 def parse_problem(text: str, spec: CostSpec) -> CombineProblem:
-    """Inverse of dump_problem; entry programs are not reconstructed."""
+    """Inverse of dump_problem.  Entry programs are not reconstructed: each
+    is a placeholder with the dumped number of (nullary, bodiless) rules."""
+    lines = [line.split() for line in text.splitlines() if line.strip()]
+    budget = lines[0][1] if lines else "-"
     entries = []
     n_pos = n_neg = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        ident, size, pos_s, neg_s = line.split()
+    for ident, size, rules, pos_s, neg_s in lines[1:]:
         pos_s = "" if pos_s == "-" else pos_s
         neg_s = "" if neg_s == "-" else neg_s
         n_pos, n_neg = len(pos_s), len(neg_s)
         entries.append(
             PromisingEntry(
                 id=int(ident),
-                program=Program(),
+                program=Program(Rule(Atom(f"r{k}", ()), ()) for k in range(int(rules))),
                 pos_bits=string_to_bits(pos_s),
                 neg_bits=string_to_bits(neg_s),
                 size=int(size),
             )
         )
-    return CombineProblem(tuple(entries), n_pos, n_neg, spec)
+    return CombineProblem(tuple(entries), n_pos, n_neg, spec,
+                          max_rules=None if budget == "-" else int(budget))

@@ -42,10 +42,6 @@ class CostSpec:
             raise LexicostError("a cost spec needs at least one component")
 
     @property
-    def minimises_size(self) -> bool:
-        return any(c.c_size for c in self.components)
-
-    @property
     def fp_is_primary(self) -> bool:
         """True when the leading objective is exactly the false-positive count."""
         first = self.components[0]

@@ -36,9 +36,6 @@ class LearnOptions:
     max_size: int | None = None
     candidate_cap: int | None = None
     combine_every: int = 1
-    specialization_pruning: bool = True
-    dominance_filter: bool = True
-    use_size_bound: bool = True
 
     def __post_init__(self):
         if self.combine_every < 1:
@@ -109,15 +106,16 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
     pending = 0
     proof = PROOF_OPTIMAL
     history: list[CostVector] = [best_cost]
+    final_problem: CombineProblem | None = None
 
     def run_combine() -> None:
-        nonlocal best_prog, best_conf, best_cost, pending
+        nonlocal best_prog, best_conf, best_cost, pending, final_problem
         pending = 0
         stats.combine_calls += 1
-        problem = CombineProblem(
+        final_problem = CombineProblem(
             tuple(entries), n_pos, n_neg, spec, max_rules=t.bias.max_clauses
         )
-        sol = optimal_combination(problem, dominance_filter=o.dominance_filter)
+        sol = optimal_combination(final_problem)
         union = Program(
             r for e in entries if e.id in set(sol.selected) for r in e.program.rules
         )
@@ -160,23 +158,16 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
             if pending >= o.combine_every:
                 run_combine()
 
-        if conf.tp == 0 and o.specialization_pruning:
+        if conf.tp == 0:
             gen.add_constraint(prune_specializations(h))
 
-        if o.use_size_bound:
-            bound = generator_size_bound(spec, best_cost)
-            if bound is not None:
-                gen.set_size_cap(bound)
+        bound = generator_size_bound(spec, best_cost)
+        if bound is not None:
+            gen.set_size_cap(bound)
 
     if pending:
         run_combine()
 
-    final_problem = (
-        CombineProblem(tuple(entries), n_pos, n_neg, spec,
-                       max_rules=t.bias.max_clauses)
-        if entries
-        else None
-    )
     return LearnResult(
         best=best_prog,
         cost=best_cost,

@@ -14,26 +14,21 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .kb import VAR, Atom, Bias, Program, Rule, Term, variable_name
-
-PRUNE_SPECIALIZATIONS = "prune-specializations"
-PRUNE_EXACT = "prune-exact"
 
 
 @dataclass(frozen=True)
 class Constraint:
-    kind: str
+    """Prune every specialisation of `anchor`: each program that it subsumes
+    (see `program_subsumes`)."""
+
     anchor: Program
 
 
 def prune_specializations(anchor: Program) -> Constraint:
-    return Constraint(PRUNE_SPECIALIZATIONS, anchor)
-
-
-def prune_exact(anchor: Program) -> Constraint:
-    return Constraint(PRUNE_EXACT, anchor)
+    return Constraint(anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +199,44 @@ def enumerate_rules(bias: Bias, body_len: int) -> list[Rule]:
     return sorted(out, key=Rule.sort_key)
 
 
+@dataclass
+class RuleTable:
+    """Every rule of one bias, interned once: a rule's id is its index."""
+
+    rules: list[Rule] = field(default_factory=list)
+    # ends[s]: the number of rules of size <= s, for each size interned so far
+    ends: list[int] = field(default_factory=lambda: [0, 0])
+
+
+def rule_table(bias: Bias, max_size: int) -> RuleTable:
+    """The bias's rule table, holding at least its rules of size <= max_size.
+
+    The table is made by the first call and kept on the bias, the way the
+    fact store is kept on the task, so every generator over a bias reads the
+    same rule ids.  Sizes are interned smallest first, so ids follow
+    `Rule.sort_key` and the rules of size <= s are ids 0 .. ends[s]-1.
+    """
+    table = bias.__dict__.get("_rule_table")
+    if table is None:
+        table = RuleTable()
+        object.__setattr__(bias, "_rule_table", table)
+    while len(table.ends) <= min(max_size, 1 + bias.max_body):
+        table.rules.extend(enumerate_rules(bias, len(table.ends) - 1))
+        table.ends.append(len(table.rules))
+    return table
+
+
 class CandidateGenerator:
     """Stateful candidate stream over a bias; single-owner, engine-driven.
 
-    Every enumerated rule gets a dense integer id, its index in `_rules`.
-    Specialisation anchors are numbered in arrival order, and for each rule
-    id the generator keeps a bitset over anchor numbers: bit k is set iff
-    some rule of anchor k theta-subsumes that rule.  A program is blocked iff
-    some anchor subsumes every one of its rules, i.e. iff the AND of its
-    rules' bitsets is non-zero.  Bitsets are extended lazily, when a
-    candidate containing the rule reaches the check, so each (anchor, rule)
-    pair is tested at most once.  Rule ids follow `Rule.sort_key` order,
-    because rule sizes are enumerated in increasing order.
+    Rules are named by their ids in the bias's `rule_table`.  Specialisation
+    anchors are numbered in arrival order, and for each rule id the generator
+    keeps a bitset over anchor numbers: bit k is set iff some rule of anchor
+    k theta-subsumes that rule.  A program is blocked iff some anchor
+    subsumes every one of its rules, i.e. iff the AND of its rules' bitsets
+    is non-zero.  Bitsets are extended lazily, when a candidate containing
+    the rule reaches the check, so each (anchor, rule) pair is tested at
+    most once.
     """
 
     def __init__(self, bias: Bias, *, size_cap: int | None = None):
@@ -224,28 +245,20 @@ class CandidateGenerator:
         self.size_cap = min(cap, bias.max_program_size)
         self._anchors: list[Program] = []
         self._anchor_set: set[Program] = set()
-        self._exact: set[Program] = set()
         self._size = 1
         self._buffer: deque[tuple[Program, tuple[int, ...]]] = deque()
-        self._rules: list[Rule] = []
+        # shared with every generator over the bias; extended in place
+        self._rules = rule_table(bias, 0).rules
         # per rule id: bitset of subsuming anchors, and anchors tested so far
         self._subsumed_by: list[int] = []
         self._anchors_tested: list[int] = []
-        self._ids_by_size: dict[int, list[int]] = {}
-        self._flat_ids: list[int] = []
-        self._flat_built_upto = 1
 
     # -- constraints --------------------------------------------------------
 
     def add_constraint(self, c: Constraint) -> None:
-        if c.kind == PRUNE_EXACT:
-            self._exact.add(c.anchor)
-        elif c.kind == PRUNE_SPECIALIZATIONS:
-            if c.anchor not in self._anchor_set:
-                self._anchor_set.add(c.anchor)
-                self._anchors.append(c.anchor)
-        else:
-            raise ValueError(f"unknown constraint kind {c.kind!r}")
+        if c.anchor not in self._anchor_set:
+            self._anchor_set.add(c.anchor)
+            self._anchors.append(c.anchor)
 
     def set_size_cap(self, cap: int) -> None:
         """Tighten the size cap; never loosens."""
@@ -271,7 +284,7 @@ class CandidateGenerator:
             yield p
 
     def _blocked(self, p: Program, ids: tuple[int, ...]) -> bool:
-        if p.size > self.size_cap or (self._exact and p in self._exact):
+        if p.size > self.size_cap:
             return True
         n_anchors = len(self._anchors)
         if not n_anchors:
@@ -303,32 +316,19 @@ class CandidateGenerator:
 
     # -- enumeration --------------------------------------------------------
 
-    def _rules_of_size(self, rsize: int) -> list[int]:
-        """Ids of the rules of size rsize, interning them on first request."""
-        if rsize < 2 or rsize > 1 + self.bias.max_body:
-            return []
-        if rsize not in self._ids_by_size:
-            rules = enumerate_rules(self.bias, rsize - 1)
-            first = len(self._rules)
-            self._rules.extend(rules)
-            self._subsumed_by.extend([0] * len(rules))
-            self._anchors_tested.extend([0] * len(rules))
-            self._ids_by_size[rsize] = list(range(first, len(self._rules)))
-        return self._ids_by_size[rsize]
-
-    def _flat_upto(self, rsize: int) -> list[int]:
-        """Ids of the rules of size 2..rsize in stream order, cached incrementally."""
-        rsize = min(rsize, 1 + self.bias.max_body)
-        while self._flat_built_upto < rsize:
-            self._flat_built_upto += 1
-            self._flat_ids.extend(self._rules_of_size(self._flat_built_upto))
-        return self._flat_ids
-
     def _programs_of_total(self, total: int) -> list[tuple[Program, tuple[int, ...]]]:
-        rules = self._rules
-        programs = [(Program([rules[i]]), (i,)) for i in self._rules_of_size(total)]
+        rules, ends = self._rules, rule_table(self.bias, total).ends
+        grow = len(rules) - len(self._subsumed_by)
+        self._subsumed_by.extend([0] * grow)
+        self._anchors_tested.extend([0] * grow)
+
+        def upto(rsize: int) -> int:
+            return ends[min(rsize, len(ends) - 1)]
+
+        programs = [(Program([rules[i]]), (i,))
+                    for i in range(upto(total - 1), upto(total))]
         if self.bias.enable_recursion and self.bias.max_clauses >= 2:
-            flat = self._flat_upto(total - 2)
+            n_flat = upto(total - 2)
             chosen: list[int] = []
 
             def rec(start: int, remaining: int) -> None:
@@ -339,15 +339,15 @@ class CandidateGenerator:
                 if len(chosen) >= self.bias.max_clauses or remaining < 2:
                     return
                 budget_rules = self.bias.max_clauses - len(chosen)
-                for j in range(start, len(flat)):
-                    sz = rules[flat[j]].size
+                for j in range(start, n_flat):
+                    sz = rules[j].size
                     if sz > remaining:
                         continue
                     # the leftover must be fillable with 1..budget-1 more rules
                     left = remaining - sz
                     if left != 0 and (budget_rules == 1 or left < 2):
                         continue
-                    chosen.append(flat[j])
+                    chosen.append(j)
                     rec(j + 1, left)
                     chosen.pop()
 

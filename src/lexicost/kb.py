@@ -218,9 +218,6 @@ class Program:
             (a.predicate, a.arity) in heads for r in self.rules for a in r.body
         )
 
-    def head_predicates(self) -> set[tuple[str, int]]:
-        return {(r.head.predicate, r.head.arity) for r in self.rules}
-
 
 EMPTY_PROGRAM = Program()
 
@@ -228,10 +225,6 @@ EMPTY_PROGRAM = Program()
 def program_size(p: Program) -> int:
     """Number of literals in the program: sum over rules of 1 + body length."""
     return p.size
-
-
-def render_rule(r: Rule) -> str:
-    return str(r)
 
 
 def render_program(p: Program) -> str:
@@ -342,10 +335,6 @@ class _Scanner:
     def eof(self) -> bool:
         self.skip_ws()
         return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def expect(self, literal: str) -> None:
         self.skip_ws()

@@ -1,5 +1,7 @@
 import json
 import os
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +15,14 @@ from lexicost.cli import (
     stratified_split,
 )
 from lexicost.analytics import read_results_csv
+from lexicost.cost import ALL_SPEC_NAMES
 from lexicost.errors import LexicostError
 from lexicost.kb import atom
 from conftest import TRAINS_BIAS, TRAINS_BK, TRAINS_EXS, write_task_dir
 import random
+
+DATA = Path(__file__).parent / "data"
+DEMO = Path(__file__).parent.parent / "demo"
 
 
 @pytest.fixture
@@ -177,10 +183,12 @@ class TestLearnCommand:
             "--dump-combine", str(dump),
         ])
         assert code == EXIT_OK
-        lines = dump.read_text().strip().splitlines()
+        header, *lines = dump.read_text().strip().splitlines()
+        assert header == "max_rules 1"
         assert lines
         for line in lines:
-            ident, size, pos_bits, neg_bits = line.split()
+            ident, size, rules, pos_bits, neg_bits = line.split()
+            assert rules == "1"
             assert len(pos_bits) == 2 and len(neg_bits) == 2
 
     def test_missing_test_examples_exit_2(self, trains_dir, tmp_path, capsys):
@@ -407,6 +415,56 @@ class TestBench:
         assert [(r.cost_fn, r.status) for r in rows] == [
             ("error", "ok"), ("mdl", "crash")
         ]
+
+    def test_demo_suite_matches_golden_csv(self):
+        config = SuiteConfig(root_dir=DEMO, cost_fns=ALL_SPEC_NAMES, repeats=1,
+                             timing=False)
+        assert run_bench(config) == (DATA / "demo_results.csv").read_text()
+
+    def test_one_parse_and_one_enumeration_per_task(self, monkeypatch):
+        from lexicost import cli, generator
+
+        calls = Counter()
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapped(*args):
+                key = (name, args[1]) if name == "enumerate_rules" else name
+                calls[key] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        for name in ("parse_facts", "parse_examples", "parse_bias"):
+            counted(cli, name)
+        counted(generator, "enumerate_rules")
+        real_learn = cli.learn
+        seen = []
+
+        def learn(task, options):
+            # the fact store and the rule table are ready before the timer
+            assert "_fact_store" in task.__dict__
+            before = sum(calls.values())
+            result = real_learn(task, options)
+            seen.append(sum(calls.values()) - before)
+            return result
+
+        monkeypatch.setattr(cli, "learn", learn)
+        # reach/t1: recursive, max_body 2, with held-out examples
+        rows = read_results_csv(run_bench(SuiteConfig(
+            root_dir=DEMO / "reach", cost_fns=ALL_SPEC_NAMES, repeats=2,
+            timing=False,
+        )))
+        assert [r.status for r in rows] == ["ok"] * 14
+        assert calls == {
+            "parse_facts": 1,
+            "parse_examples": 2,  # exs.datalog and test_exs.datalog
+            "parse_bias": 1,
+            ("enumerate_rules", 1): 1,
+            ("enumerate_rules", 2): 1,
+        }
+        assert seen == [0] * 14
 
     def test_invalid_config_rejected(self, suite_root):
         with pytest.raises(LexicostError):

@@ -5,6 +5,7 @@ import pytest
 from lexicost.combiner import (
     CombineProblem,
     PromisingEntry,
+    _filter_dominated,
     brute_force_combination,
     dump_problem,
     optimal_combination,
@@ -115,6 +116,25 @@ class TestOracleAgreement:
             assert a.conf == b.conf
             assert a.total_size == b.total_size
 
+    def test_default_selection_is_brute_force_over_non_dominated(self):
+        # the filtered path breaks ties among the non-dominated entries only
+        spec = NAMED_SPECS["fnfp"]
+        p = CombineProblem(tuple(entry(i, size, "1", "") for i, size
+                                 in enumerate((3, 3, 4, 4, 2))), 1, 0, spec)
+        assert optimal_combination(p).selected == (4,)
+        assert brute_force_combination(p).selected == (0,)
+        rng = random.Random(49)
+        for trial in range(300):
+            spec = NAMED_SPECS[ALL_SPEC_NAMES[trial % len(ALL_SPEC_NAMES)]]
+            p = random_problem(rng, spec)
+            # as in the engine, every entry covers a positive
+            p = CombineProblem(tuple(e for e in p.entries if e.pos_bits),
+                               p.n_pos, p.n_neg, spec)
+            kept = CombineProblem(tuple(_filter_dominated(p.entries)),
+                                  p.n_pos, p.n_neg, spec)
+            assert optimal_combination(p).selected == \
+                brute_force_combination(kept).selected
+
     def test_dominance_filter_preserves_cost(self):
         rng = random.Random(43)
         for trial in range(150):
@@ -220,7 +240,7 @@ class TestDumpFormat:
             3, 2, NAMED_SPECS["errorsize"],
         )
         text = dump_problem(p)
-        assert text.splitlines()[0] == "0 3 110 01"
+        assert text.splitlines()[:2] == ["max_rules -", "0 3 0 110 01"]
         back = parse_problem(text, NAMED_SPECS["errorsize"])
         assert back.n_pos == 3 and back.n_neg == 2
         assert [
@@ -231,7 +251,19 @@ class TestDumpFormat:
     def test_round_trip_without_negatives(self):
         p = CombineProblem((entry(0, 3, "110", ""),), 3, 0, NAMED_SPECS["mdl"])
         text = dump_problem(p)
-        assert text == "0 3 110 -"
+        assert text == "max_rules -\n0 3 0 110 -"
         back = parse_problem(text, NAMED_SPECS["mdl"])
         assert back.n_neg == 0
         assert optimal_combination(back).cost == optimal_combination(p).cost
+
+    def test_round_trip_keeps_rule_budget_and_rule_counts(self):
+        p = CombineProblem((rule_entry(0, 2, "10", ""), rule_entry(1, 2, "01", "")),
+                           2, 0, NAMED_SPECS["error"], max_rules=1)
+        text = dump_problem(p)
+        assert text.splitlines() == ["max_rules 1", "0 2 1 10 -", "1 2 1 01 -"]
+        back = parse_problem(text, NAMED_SPECS["error"])
+        assert back.max_rules == 1
+        assert [len(e.program.rules) for e in back.entries] == [1, 1]
+        for problem in (p, back):
+            sol = optimal_combination(problem)
+            assert sol.selected == (0,) and sol.cost == (1,)

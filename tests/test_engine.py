@@ -1,5 +1,9 @@
+import functools
+
 import pytest
 
+from lexicost import engine
+from lexicost.combiner import optimal_combination
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS, evaluate
 from lexicost.engine import (
     LearnOptions,
@@ -9,6 +13,7 @@ from lexicost.engine import (
     learn,
 )
 from lexicost.errors import UnknownPredicateError
+from lexicost.generator import CandidateGenerator
 from lexicost.kb import atom, parse_program, program_size, render_program
 from conftest import make_task
 from oracles import exhaustive_best_cost
@@ -99,16 +104,23 @@ class TestLoopBehaviour:
 
     @pytest.mark.parametrize("fixture", ORACLE_TASKS)
     @pytest.mark.parametrize("name", ALL_SPEC_NAMES)
-    def test_constraint_and_filter_neutrality(self, fixture, name, request):
+    def test_constraint_and_filter_neutrality(self, fixture, name, request,
+                                              monkeypatch):
+        """Specialisation pruning, the combiner's dominance filter and the
+        size bound change no cost: with each patched out, the cost holds."""
         task = request.getfixturevalue(fixture)
         reference = learn(task, opts(name)).cost
-        for kw in (
-            dict(specialization_pruning=False),
-            dict(dominance_filter=False),
-            dict(specialization_pruning=False, dominance_filter=False),
-            dict(use_size_bound=False),
-        ):
-            assert learn(task, opts(name, **kw)).cost == reference
+        switches = {
+            "pruning": (CandidateGenerator, "add_constraint", lambda self, c: None),
+            "filter": (engine, "optimal_combination",
+                       functools.partial(optimal_combination, dominance_filter=False)),
+            "size_bound": (engine, "generator_size_bound", lambda spec, cost: None),
+        }
+        for off in (["pruning"], ["filter"], ["pruning", "filter"], ["size_bound"]):
+            with monkeypatch.context() as m:
+                for name_off in off:
+                    m.setattr(*switches[name_off])
+                assert learn(task, opts(name)).cost == reference
 
     def test_combine_every_neutral(self, trains_task):
         a = learn(trains_task, opts("errorsize", combine_every=1))
@@ -135,6 +147,19 @@ class TestLoopBehaviour:
         res = learn(trains_task, opts("errorsize"))
         assert res.final_problem is not None
         assert res.final_problem.n_pos == 2
+        assert len(res.final_problem.entries) == res.stats.promising
+        assert res.final_problem.max_rules == trains_task.bias.max_clauses
+
+    def test_final_problem_is_the_last_one_solved(self, trains_task, monkeypatch):
+        solved = []
+
+        def record(problem):
+            solved.append(problem)
+            return optimal_combination(problem)
+
+        monkeypatch.setattr(engine, "optimal_combination", record)
+        res = learn(trains_task, opts("errorsize", combine_every=3))
+        assert res.final_problem is solved[-1]
 
 
 class TestEvaluateOnTest:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,13 +7,13 @@ from lexicost.generator import (
     CandidateGenerator,
     is_redundant,
     program_subsumes,
-    prune_exact,
     prune_specializations,
+    rule_table,
     theta_subsumes,
 )
 from lexicost.cost import NAMED_SPECS
 from lexicost.engine import LearnOptions, learn
-from lexicost.kb import Bias, Program, parse_program, parse_rule, render_program
+from lexicost.kb import Bias, Program, Rule, parse_program, parse_rule, render_program
 from conftest import PLANTED_SHAPES
 from oracles import (
     brute_subsumes,
@@ -105,14 +106,6 @@ class TestStream:
         assert "f(A):- g(A),h(A)." not in stream
         assert "f(A):- h(A)." in stream
 
-    def test_exact_constraint_blocks_only_that_program(self):
-        b = bias({("f", 1)}, {("g", 1), ("h", 1)}, max_vars=1, max_body=2)
-        g = CandidateGenerator(b)
-        g.add_constraint(prune_exact(parse_program("f(X):- g(X).")))
-        stream = [render_program(p) for p in g]
-        assert "f(A):- g(A)." not in stream
-        assert "f(A):- g(A),h(A)." in stream
-
     def test_constraints_idempotent(self):
         b = bias({("f", 1)}, {("g", 1), ("h", 1)}, max_vars=1, max_body=2)
         g1 = CandidateGenerator(b)
@@ -152,6 +145,36 @@ class TestStream:
         assert first is not None
         g.set_size_cap(first.size)
         assert all(p.size <= first.size for p in g)
+
+
+class TestRuleTable:
+    def test_generators_over_one_bias_share_it(self, monkeypatch):
+        from lexicost import generator
+
+        b = bias({("f", 1)}, {("g", 1), ("h", 2)}, max_vars=3, max_body=2)
+        calls = []
+        real = generator.enumerate_rules
+        monkeypatch.setattr(generator, "enumerate_rules",
+                            lambda bias, n: calls.append(n) or real(bias, n))
+        first = list(CandidateGenerator(b))
+        assert list(CandidateGenerator(b)) == first
+        assert calls == [1, 2]
+        assert rule_table(b, 0) is rule_table(b, 3)
+
+    @pytest.mark.parametrize("b", [
+        bias({("f", 1)}, {("g", 1), ("h", 2)}, max_vars=3, max_body=3),
+        bias({("f", 1)}, {("e", 2), ("g", 1)}, max_vars=2, max_body=3,
+             max_clauses=2, recursion=True),
+    ], ids=["plain", "recursive"])
+    def test_partial_table_changes_no_stream(self, b):
+        fresh = list(CandidateGenerator(dataclasses.replace(b)))  # an equal bias, own table
+        capped = CandidateGenerator(b, size_cap=3)
+        assert all(p.size <= 3 for p in capped)
+        table = rule_table(b, 3)
+        assert len(table.ends) == 4
+        assert list(CandidateGenerator(b)) == fresh
+        assert table.rules == sorted(table.rules, key=Rule.sort_key)
+        assert len(table.ends) == 5
 
 
 TINY_BIASES = [
