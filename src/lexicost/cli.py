@@ -99,7 +99,6 @@ def cmd_learn(args: argparse.Namespace) -> int:
         spec=spec,
         max_size=args.max_size,
         candidate_cap=args.candidate_cap,
-        combine_every=args.combine_every,
     )
     result = learn(task, options)
 
@@ -443,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-exs", help="held-out examples file")
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--candidate-cap", type=int, default=None)
-    p.add_argument("--combine-every", type=int, default=1)
     p.add_argument("--dump-combine", metavar="PATH",
                    help="write the final combine problem to PATH")
     p.add_argument("--format", choices=("json", "text"), default="json")

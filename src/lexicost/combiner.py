@@ -5,14 +5,19 @@ yields a union whose coverage is the bitwise OR of the members' coverages and
 whose charged size is the sum of the members' sizes.  `optimal_combination`
 finds a subset whose cost vector is lexicographically minimal over all 2^n
 subsets (optionally only those within a rule-count budget, keeping the union
-inside a bias-bounded space), by depth-first branch and bound with
-per-component admissible lower bounds.  It first drops dominated entries,
-which never changes the optimal cost, and then tie-breaks cost-equal optima
-among the remaining entries to the smallest selected-id set in
-lexicographic order.  So its selection is the one that
-`brute_force_combination`, the independent exhaustive oracle, makes over
-the non-dominated entries; over all entries the two may select different
-optima of equal cost.
+inside a bias-bounded space).  It first drops dominated entries, which never
+changes the optimal cost, and then makes two depth-first passes over
+include/exclude decisions, each an explicit-stack loop pruned by the same
+admissible per-component lower bound, so the pool size is limited by time,
+not by the interpreter's stack:
+
+1. branch and bound for the optimal cost, most-covering entries first;
+2. a walk over the entries in id order that returns the first selection of
+   that cost, which is the smallest selected-id set in lexicographic order.
+
+So its selection is the one that `brute_force_combination`, the independent
+exhaustive oracle, makes over the non-dominated entries; over all entries the
+two may select different optima of equal cost.
 """
 
 from __future__ import annotations
@@ -84,79 +89,94 @@ def _cost_of(spec: CostSpec, pos: int, neg: int, size: int,
     return evaluate(spec, confusion_of(pos, neg, n_pos, n_neg), size)
 
 
-class _Search:
-    """Branch-and-bound state over a fixed entry order."""
+def _bound(order: list[PromisingEntry], p: CombineProblem):
+    """`bound(i, pos, neg, size)`: an admissible lower bound on the cost of
+    the partial union (pos, neg, size) extended by any subset of order[i:].
 
-    def __init__(self, entries: list[PromisingEntry], n_pos: int, n_neg: int,
-                 spec: CostSpec, max_rules: int | None):
-        self.entries = entries
-        self.n_pos = n_pos
-        self.n_neg = n_neg
-        self.spec = spec
-        self.budget = float("inf") if max_rules is None else max_rules
-        self.rule_counts = [len(e.program.rules) for e in entries]
-        n = len(entries)
-        suffix = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix[i] = suffix[i + 1] | entries[i].pos_bits
-        self.suffix_pos = suffix
+    Adding entries can only raise fp and size, and fn can at best fall to
+    the positives that order[i:] still covers.  At i == len(order) the bound
+    is the union's exact cost.
+    """
+    suffix = [0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | order[i].pos_bits
+    n_pos = p.n_pos
+    weights = [(c.a_fp, c.b_fn, c.c_size) for c in p.spec.components]
 
-    def lower_bound(self, i: int, pos: int, neg: int, size: int) -> CostVector:
+    def bound(i: int, pos: int, neg: int, size: int) -> CostVector:
         fp = neg.bit_count()
-        fn = self.n_pos - (pos | self.suffix_pos[i]).bit_count()
-        return tuple(
-            c.a_fp * fp + c.b_fn * fn + c.c_size * size
-            for c in self.spec.components
-        )
+        fn = n_pos - (pos | suffix[i]).bit_count()
+        return tuple([a * fp + b * fn + c * size for a, b, c in weights])
 
-    def leaf_cost(self, pos: int, neg: int, size: int) -> CostVector:
-        return _cost_of(self.spec, pos, neg, size, self.n_pos, self.n_neg)
+    return bound
 
-    def minimise(self) -> CostVector:
-        incumbent = self.leaf_cost(0, 0, 0)
-        n = len(self.entries)
 
-        def dfs(i: int, pos: int, neg: int, size: int, rules: int) -> None:
-            nonlocal incumbent
-            if self.lower_bound(i, pos, neg, size) >= incumbent:
-                return
-            if i == n:
-                cost = self.leaf_cost(pos, neg, size)
-                if cost < incumbent:
-                    incumbent = cost
-                return
-            e = self.entries[i]
-            if rules + self.rule_counts[i] <= self.budget:
-                include = (pos | e.pos_bits, neg | e.neg_bits, size + e.size,
-                           rules + self.rule_counts[i])
-                lb_in = self.lower_bound(i + 1, *include[:3])
-                lb_out = self.lower_bound(i + 1, pos, neg, size)
-                if lb_in <= lb_out:
-                    dfs(i + 1, *include)
-                    dfs(i + 1, pos, neg, size, rules)
-                else:
-                    dfs(i + 1, pos, neg, size, rules)
-                    dfs(i + 1, *include)
-            else:
-                dfs(i + 1, pos, neg, size, rules)
+def _optimal_cost(order: list[PromisingEntry], p: CombineProblem,
+                  budget: float) -> CostVector:
+    """Phase 1: the optimal cost, by depth-first branch and bound over
+    include/exclude decisions in `order`, trying first the child with the
+    smaller bound.  Each stack node carries its bound, computed once when
+    the node is pushed; the incumbent prunes it when it is popped."""
+    bound = _bound(order, p)
+    n = len(order)
+    incumbent = bound(n, 0, 0, 0)
+    stack = [(bound(0, 0, 0, 0), 0, 0, 0, 0, 0)]
+    while stack:
+        lb, i, pos, neg, size, rules = stack.pop()
+        if lb >= incumbent:
+            continue
+        if i == n:
+            incumbent = lb
+            continue
+        e = order[i]
+        out = (bound(i + 1, pos, neg, size), i + 1, pos, neg, size, rules)
+        n_rules = len(e.program.rules)
+        if rules + n_rules > budget:
+            stack.append(out)
+            continue
+        pos, neg, size = pos | e.pos_bits, neg | e.neg_bits, size + e.size
+        inc = (bound(i + 1, pos, neg, size), i + 1, pos, neg, size,
+               rules + n_rules)
+        if inc[0] <= out[0]:
+            stack += (out, inc)
+        else:
+            stack += (inc, out)
+    return incumbent
 
-        dfs(0, 0, 0, 0, 0)
-        return incumbent
 
-    def can_reach(self, i: int, pos: int, neg: int, size: int, rules: int,
-                  target: CostVector) -> bool:
-        """Can some feasible subset of entries[i:] reach cost == target?"""
-        if self.lower_bound(i, pos, neg, size) > target:
-            return False
-        if i == len(self.entries):
-            return self.leaf_cost(pos, neg, size) == target
-        e = self.entries[i]
-        if rules + self.rule_counts[i] <= self.budget and self.can_reach(
-            i + 1, pos | e.pos_bits, neg | e.neg_bits, size + e.size,
-            rules + self.rule_counts[i], target
-        ):
-            return True
-        return self.can_reach(i + 1, pos, neg, size, rules, target)
+def _first_selection(order: list[PromisingEntry], p: CombineProblem,
+                     budget: float, opt: CostVector) -> tuple[int, ...]:
+    """Phase 2: the lexicographically smallest id tuple of a feasible
+    selection of cost `opt` from `order` (sorted by id).
+
+    A selection is checked by the include that creates it.  A depth-first
+    walk that takes "include" before "exclude" makes those includes in
+    lexicographic order of the selections, so the first hit is the smallest.
+    A node whose bound exceeds `opt` is not pushed.
+    """
+    bound = _bound(order, p)
+    n = len(order)
+    if bound(n, 0, 0, 0) == opt:
+        return ()
+    stack = [(0, 0, 0, 0, 0, ())]
+    while stack:
+        i, pos, neg, size, rules, ids = stack.pop()
+        if i == n:
+            continue
+        if bound(i + 1, pos, neg, size) <= opt:
+            stack.append((i + 1, pos, neg, size, rules, ids))
+        e = order[i]
+        n_rules = len(e.program.rules)
+        if rules + n_rules > budget:
+            continue
+        pos, neg, size = pos | e.pos_bits, neg | e.neg_bits, size + e.size
+        ids += (e.id,)
+        if bound(n, pos, neg, size) == opt:
+            return ids
+        if bound(i + 1, pos, neg, size) <= opt:
+            stack.append((i + 1, pos, neg, size, rules + n_rules, ids))
+    # unreachable: phase 1 found a selection of cost `opt`
+    raise AssertionError("optimal cost unreachable during tie-break")
 
 
 def _dominates(e1: PromisingEntry, e2: PromisingEntry) -> bool:
@@ -196,38 +216,13 @@ def optimal_combination(
     if dominance_filter:
         entries = _filter_dominated(p.entries)
 
-    # phase 1: optimal cost, searched in a pruning-friendly order
-    branch_order = sorted(
-        entries, key=lambda e: (-e.pos_bits.bit_count(), e.size, e.id)
+    budget = float("inf") if p.max_rules is None else p.max_rules
+    opt = _optimal_cost(
+        sorted(entries, key=lambda e: (-e.pos_bits.bit_count(), e.size, e.id)),
+        p, budget,
     )
-    opt = _Search(branch_order, p.n_pos, p.n_neg, p.spec, p.max_rules).minimise()
-
-    # phase 2: smallest id set (as a sorted tuple) achieving that cost
-    id_order = sorted(entries, key=lambda e: e.id)
-    search = _Search(id_order, p.n_pos, p.n_neg, p.spec, p.max_rules)
-    chosen: list[int] = []
-    pos = neg = size = rules = 0
-    start = 0
-    while search.leaf_cost(pos, neg, size) != opt:
-        for j in range(start, len(id_order)):
-            e = id_order[j]
-            n_rules = len(e.program.rules)
-            if rules + n_rules > search.budget:
-                continue
-            if search.can_reach(
-                j + 1, pos | e.pos_bits, neg | e.neg_bits, size + e.size,
-                rules + n_rules, opt
-            ):
-                chosen.append(e.id)
-                pos |= e.pos_bits
-                neg |= e.neg_bits
-                size += e.size
-                rules += n_rules
-                start = j + 1
-                break
-        else:  # pragma: no cover - phase 1 guarantees reachability
-            raise AssertionError("optimal cost unreachable during tie-break")
-    return _solution(p, tuple(chosen))
+    ids = _first_selection(sorted(entries, key=lambda e: e.id), p, budget, opt)
+    return _solution(p, ids)
 
 
 def brute_force_combination(p: CombineProblem) -> CombineSolution:

@@ -35,11 +35,6 @@ class LearnOptions:
     spec: CostSpec
     max_size: int | None = None
     candidate_cap: int | None = None
-    combine_every: int = 1
-
-    def __post_init__(self):
-        if self.combine_every < 1:
-            raise ValueError("combine_every must be >= 1")
 
 
 @dataclass
@@ -103,27 +98,9 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
     best_cost = evaluate(spec, best_conf, 0)
 
     entries: list[PromisingEntry] = []
-    pending = 0
     proof = PROOF_OPTIMAL
     history: list[CostVector] = [best_cost]
     final_problem: CombineProblem | None = None
-
-    def run_combine() -> None:
-        nonlocal best_prog, best_conf, best_cost, pending, final_problem
-        pending = 0
-        stats.combine_calls += 1
-        final_problem = CombineProblem(
-            tuple(entries), n_pos, n_neg, spec, max_rules=t.bias.max_clauses
-        )
-        sol = optimal_combination(final_problem)
-        union = Program(
-            r for e in entries if e.id in set(sol.selected) for r in e.program.rules
-        )
-        uconf = sol.conf
-        ucost = evaluate(spec, uconf, union.size)
-        if ucost < best_cost:
-            best_prog, best_conf, best_cost = union, uconf, ucost
-            history.append(best_cost)
 
     while True:
         if o.candidate_cap is not None and stats.generated >= o.candidate_cap:
@@ -154,9 +131,19 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
                 )
             )
             stats.promising += 1
-            pending += 1
-            if pending >= o.combine_every:
-                run_combine()
+            stats.combine_calls += 1
+            final_problem = CombineProblem(
+                tuple(entries), n_pos, n_neg, spec, max_rules=t.bias.max_clauses
+            )
+            sol = optimal_combination(final_problem)
+            selected = set(sol.selected)
+            union = Program(
+                r for e in entries if e.id in selected for r in e.program.rules
+            )
+            ucost = evaluate(spec, sol.conf, union.size)
+            if ucost < best_cost:
+                best_prog, best_conf, best_cost = union, sol.conf, ucost
+                history.append(best_cost)
 
         if conf.tp == 0:
             gen.add_constraint(prune_specializations(h))
@@ -164,9 +151,6 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
         bound = generator_size_bound(spec, best_cost)
         if bound is not None:
             gen.set_size_cap(bound)
-
-    if pending:
-        run_combine()
 
     return LearnResult(
         best=best_prog,

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,9 @@ from lexicost.combiner import (
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS, evaluate, parse_cost_spec
 from lexicost.errors import TooLargeError
 from lexicost.evaluator import string_to_bits
-from lexicost.kb import Program, parse_rule
+from lexicost.kb import Atom, Program, Rule, parse_rule
+
+DATA = Path(__file__).parent / "data"
 
 
 def entry(i, size, pos, neg):
@@ -25,6 +28,14 @@ def entry(i, size, pos, neg):
 def rule_entry(i, size, pos, neg):
     """An entry backed by a real single-rule program (rule count 1)."""
     program = Program([parse_rule(f"f(A):- q{i}(A).")])
+    return PromisingEntry(id=i, program=program, pos_bits=string_to_bits(pos),
+                          neg_bits=string_to_bits(neg), size=size)
+
+
+def multi_rule_entry(i, size, pos, neg, n_rules):
+    """An entry whose program has `n_rules` placeholder rules, as in
+    `parse_problem`."""
+    program = Program(Rule(Atom(f"r{i}_{k}", ()), ()) for k in range(n_rules))
     return PromisingEntry(id=i, program=program, pos_bits=string_to_bits(pos),
                           neg_bits=string_to_bits(neg), size=size)
 
@@ -82,6 +93,17 @@ class TestExamples:
             assert sol.selected == ()
             assert sol.conf.fn == 4 and sol.conf.fp == 0
             assert sol.total_size == 0
+
+    def test_pool_deeper_than_the_interpreter_stack(self):
+        # one entry per positive: a search that recursed once per entry
+        # would exceed Python's default recursion limit of 1000
+        n = 1200
+        entries = tuple(entry(i, 2, format(1 << i, f"0{n}b")[::-1], "")
+                        for i in range(n))
+        for name, cost in (("error", (0,)), ("errorsize", (0, 2 * n))):
+            sol = optimal_combination(CombineProblem(entries, n, 0, NAMED_SPECS[name]))
+            assert sol.selected == tuple(range(n))
+            assert sol.cost == cost
 
 
 class TestBruteForceContract:
@@ -218,10 +240,11 @@ class TestRuleBudget:
             n = rng.randint(0, 8)
             n_pos, n_neg = rng.randint(1, 10), rng.randint(0, 10)
             entries = tuple(
-                rule_entry(
+                multi_rule_entry(
                     i, rng.randint(2, 8),
                     "".join(rng.choice("01") for _ in range(n_pos)),
                     "".join(rng.choice("01") for _ in range(n_neg)),
+                    rng.randint(1, 3),
                 )
                 for i in range(n)
             )
@@ -231,6 +254,28 @@ class TestRuleBudget:
             b = brute_force_combination(p)
             assert a.cost == b.cost and a.selected == b.selected
             assert optimal_combination(p).cost == b.cost
+
+
+class TestGoldenPools:
+    # the last combine problem of costbench's `noisy` workload, seed 1 (the
+    # same pool under each of these cost functions), above the brute-force
+    # limit; selections and costs were pinned from the recursive search that
+    # preceded the iterative one
+    GOLDEN = {
+        "error": ((24, 33, 34), (7,)),
+        "errorsize": ((33, 34), (7, 6)),
+        "fnfp": ((11, 24, 26, 31, 33, 35), (0, 12)),
+        "fnfpsize": ((26, 33, 34, 35), (0, 12, 12)),
+        "mdl": ((3,), (13,)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_noisy_pool(self, name):
+        p = parse_problem((DATA / "noisy_seed1_combine.txt").read_text(),
+                          NAMED_SPECS[name])
+        assert (len(p.entries), p.max_rules) == (45, 8)
+        sol = optimal_combination(p)
+        assert (sol.selected, sol.cost) == self.GOLDEN[name]
 
 
 class TestDumpFormat:

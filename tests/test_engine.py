@@ -122,12 +122,6 @@ class TestLoopBehaviour:
                     m.setattr(*switches[name_off])
                 assert learn(task, opts(name)).cost == reference
 
-    def test_combine_every_neutral(self, trains_task):
-        a = learn(trains_task, opts("errorsize", combine_every=1))
-        b = learn(trains_task, opts("errorsize", combine_every=4))
-        assert a.cost == b.cost
-        assert b.stats.combine_calls <= a.stats.combine_calls
-
     def test_candidate_cap(self, trains_task):
         res = learn(trains_task, opts("errorsize", candidate_cap=2))
         assert res.proof == PROOF_CAP_EXHAUSTED
@@ -148,6 +142,7 @@ class TestLoopBehaviour:
         assert res.final_problem is not None
         assert res.final_problem.n_pos == 2
         assert len(res.final_problem.entries) == res.stats.promising
+        assert res.stats.combine_calls == res.stats.promising
         assert res.final_problem.max_rules == trains_task.bias.max_clauses
 
     def test_final_problem_is_the_last_one_solved(self, trains_task, monkeypatch):
@@ -158,7 +153,7 @@ class TestLoopBehaviour:
             return optimal_combination(problem)
 
         monkeypatch.setattr(engine, "optimal_combination", record)
-        res = learn(trains_task, opts("errorsize", combine_every=3))
+        res = learn(trains_task, opts("errorsize"))
         assert res.final_problem is solved[-1]
 
 
