@@ -75,6 +75,7 @@ def _result_json(result: LearnResult, test_conf: Confusion | None) -> dict:
             "tested": result.stats.tested,
             "promising": result.stats.promising,
             "combine_calls": result.stats.combine_calls,
+            "stop": result.stats.stop,
         },
         "proof": result.proof,
     }

@@ -8,6 +8,14 @@ covering no positives prune all their specialisations from future
 generation.  When the cost function charges for size, the generator's size
 cap shrinks as the best cost improves, and exhaustion of the stream proves
 global optimality over the bias-defined space.
+
+The loop also stops, with the same proof, as soon as the best cost is all
+zeros: every cost component is a sum of non-negative counts, so nothing can
+cost less, and since the best is replaced only on a strict improvement, the
+candidates left untested could not have changed the result.  Only the work
+done (`LearnStats`) and the last combine problem are smaller for it.
+`LearnStats.stop` records which end the run reached: exhaustion, a zero cost
+or the candidate cap.
 """
 
 from __future__ import annotations
@@ -43,6 +51,9 @@ class LearnStats:
     tested: int = 0
     promising: int = 0
     combine_calls: int = 0
+    # why the loop ended: "exhausted" (the stream ran out), "zero-cost" (the
+    # best cost is all zeros) or "candidate-cap"
+    stop: str = "exhausted"
 
 
 @dataclass
@@ -103,7 +114,11 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
     final_problem: CombineProblem | None = None
 
     while True:
+        if not any(best_cost):
+            stats.stop = "zero-cost"
+            break
         if o.candidate_cap is not None and stats.generated >= o.candidate_cap:
+            stats.stop = "candidate-cap"
             proof = PROOF_CAP_EXHAUSTED
             break
         h = gen.next_candidate()

@@ -51,6 +51,26 @@ class TestLearnCommand:
         assert payload["proof"] == "optimal"
         assert payload["train"] == {"tp": 2, "fp": 0, "tn": 2, "fn": 0}
 
+    @pytest.mark.parametrize("cost, extra, stop", [
+        ("errorsize", [], "exhausted"),
+        ("error", [], "zero-cost"),
+        ("errorsize", ["--candidate-cap", "2"], "candidate-cap"),
+    ])
+    def test_learn_json_reports_stop(self, trains_dir, capsys, cost, extra, stop):
+        code = main([
+            "learn",
+            "--bk", str(trains_dir / "bk.datalog"),
+            "--exs", str(trains_dir / "exs.datalog"),
+            "--bias", str(trains_dir / "bias.txt"),
+            "--cost", cost, *extra,
+        ])
+        assert code == EXIT_OK
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert sorted(stats) == [
+            "combine_calls", "generated", "promising", "stop", "tested"
+        ]
+        assert stats["stop"] == stop
+
     def test_learn_with_test_examples(self, trains_dir, capsys):
         (trains_dir / "test.datalog").write_text(
             "pos(east(t1)). neg(east(t4))."

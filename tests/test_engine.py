@@ -4,7 +4,7 @@ import pytest
 
 from lexicost import engine
 from lexicost.combiner import optimal_combination
-from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS, evaluate
+from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS, evaluate, parse_cost_spec
 from lexicost.engine import (
     LearnOptions,
     PROOF_CAP_EXHAUSTED,
@@ -126,6 +126,7 @@ class TestLoopBehaviour:
         res = learn(trains_task, opts("errorsize", candidate_cap=2))
         assert res.proof == PROOF_CAP_EXHAUSTED
         assert res.stats.generated <= 2
+        assert res.stats.stop == "candidate-cap"
 
     def test_max_size_restricts_space(self, trains_task):
         res = learn(trains_task, opts("errorsize", max_size=2))
@@ -155,6 +156,36 @@ class TestLoopBehaviour:
         monkeypatch.setattr(engine, "optimal_combination", record)
         res = learn(trains_task, opts("errorsize"))
         assert res.final_problem is solved[-1]
+
+
+class TestZeroCostStop:
+    @pytest.mark.parametrize("name, history", [
+        ("error", ((10,), (6,), (3,), (0,))),
+        ("fnfp", ((10, 0), (6, 0), (3, 0), (0, 0))),
+        ("fpfn", ((0, 10), (0, 6), (0, 3), (0, 0))),
+    ])
+    def test_closure_stops_at_zero(self, path_task_full, name, history):
+        # the pruned stream holds 984 candidates; the cost is zero at the 36th
+        res = learn(path_task_full, opts(name))
+        assert res.stats.generated == 36
+        assert res.stats.stop == "zero-cost"
+        assert res.proof == PROOF_OPTIMAL
+        assert res.cost_history == history
+
+    def test_cap_reached_at_zero_cost_is_optimal(self, path_task_full):
+        res = learn(path_task_full, opts("fnfp", candidate_cap=36))
+        assert res.proof == PROOF_OPTIMAL
+        assert res.stats.stop == "zero-cost"
+        assert res.cost == (0, 0)
+
+    def test_empty_program_at_zero_tests_nothing(self, trains_task):
+        # the empty program makes no false positive
+        res = learn(trains_task, LearnOptions(spec=parse_cost_spec("custom:fp")))
+        assert res.best.is_empty
+        assert res.cost == (0,)
+        assert res.stats.generated == 0
+        assert res.stats.stop == "zero-cost"
+        assert res.final_problem is None
 
 
 class TestEvaluateOnTest:
