@@ -151,6 +151,8 @@ class SuiteConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if not self.root_dir.is_dir():
+            raise LexicostError(f"bench root is not a directory: {self.root_dir}")
         if self.repeats < 1:
             raise LexicostError("repeats must be >= 1")
         if self.split is not None and not (0.0 < self.split < 1.0):
@@ -318,10 +320,14 @@ def run_bench(config: SuiteConfig) -> str:
 
 
 def _worker_count(requested: int | None) -> int:
-    cap = os.environ.get("LEXICOST_THREADS")
-    workers = requested if requested is not None else (int(cap) if cap else 1)
-    if cap:
-        workers = min(workers, int(cap))
+    env = os.environ.get("LEXICOST_THREADS")
+    try:
+        cap = int(env) if env else None
+    except ValueError:
+        raise LexicostError(f"LEXICOST_THREADS is not an integer: {env!r}") from None
+    workers = requested if requested is not None else (cap or 1)
+    if cap is not None:
+        workers = min(workers, cap)
     return max(workers, 1)
 
 

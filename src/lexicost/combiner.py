@@ -6,14 +6,18 @@ whose charged size is the sum of the members' sizes.  `optimal_combination`
 finds a subset whose cost vector is lexicographically minimal over all 2^n
 subsets (optionally only those within a rule-count budget, keeping the union
 inside a bias-bounded space).  It first drops dominated entries, which never
-changes the optimal cost, and then makes two depth-first passes over
-include/exclude decisions, each an explicit-stack loop pruned by the same
-admissible per-component lower bound, so the pool size is limited by time,
-not by the interpreter's stack:
+changes the optimal cost, and then runs one depth-first branch and bound
+over include/exclude decisions in id order, a loop over an explicit stack,
+so the pool size is limited by time, not by the interpreter's stack:
 
-1. branch and bound for the optimal cost, most-covering entries first;
-2. a walk over the entries in id order that returns the first selection of
-   that cost, which is the smallest selected-id set in lexicographic order.
+- the key of a selection is `(cost, sorted ids)`, and the incumbent is the
+  smallest key found so far, starting from the empty selection;
+- a node's bound is admissible per cost component: fp and size can only
+  grow, and fn can at best fall to the positives the remaining entries
+  still cover; a node whose `(bound, ids)` is no smaller than the incumbent
+  is cut, since everything below it extends its ids with larger ids;
+- the child with the smaller bound is tried first, so good incumbents come
+  early and cut most of the tree.
 
 So its selection is the one that `brute_force_combination`, the independent
 exhaustive oracle, makes over the non-dominated entries; over all entries the
@@ -25,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cost import CostSpec, CostVector, evaluate
-from .errors import LengthMismatchError, TooLargeError
+from .errors import LengthMismatchError, ParseError, TooLargeError
 from .evaluator import Confusion, bits_to_string, confusion_of, string_to_bits
-from .kb import Atom, Program, Rule
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -35,7 +38,7 @@ BRUTE_FORCE_LIMIT = 20
 @dataclass(frozen=True)
 class PromisingEntry:
     id: int
-    program: Program
+    rules: int  # the rule count of the entry's program
     pos_bits: int
     neg_bits: int
     size: int
@@ -84,11 +87,6 @@ def _solution(problem: CombineProblem, ids: tuple[int, ...]) -> CombineSolution:
     )
 
 
-def _cost_of(spec: CostSpec, pos: int, neg: int, size: int,
-             n_pos: int, n_neg: int) -> CostVector:
-    return evaluate(spec, confusion_of(pos, neg, n_pos, n_neg), size)
-
-
 def _bound(order: list[PromisingEntry], p: CombineProblem):
     """`bound(i, pos, neg, size)`: an admissible lower bound on the cost of
     the partial union (pos, neg, size) extended by any subset of order[i:].
@@ -111,74 +109,6 @@ def _bound(order: list[PromisingEntry], p: CombineProblem):
     return bound
 
 
-def _optimal_cost(order: list[PromisingEntry], p: CombineProblem,
-                  budget: float) -> CostVector:
-    """Phase 1: the optimal cost, by depth-first branch and bound over
-    include/exclude decisions in `order`, trying first the child with the
-    smaller bound.  Each stack node carries its bound, computed once when
-    the node is pushed; the incumbent prunes it when it is popped."""
-    bound = _bound(order, p)
-    n = len(order)
-    incumbent = bound(n, 0, 0, 0)
-    stack = [(bound(0, 0, 0, 0), 0, 0, 0, 0, 0)]
-    while stack:
-        lb, i, pos, neg, size, rules = stack.pop()
-        if lb >= incumbent:
-            continue
-        if i == n:
-            incumbent = lb
-            continue
-        e = order[i]
-        out = (bound(i + 1, pos, neg, size), i + 1, pos, neg, size, rules)
-        n_rules = len(e.program.rules)
-        if rules + n_rules > budget:
-            stack.append(out)
-            continue
-        pos, neg, size = pos | e.pos_bits, neg | e.neg_bits, size + e.size
-        inc = (bound(i + 1, pos, neg, size), i + 1, pos, neg, size,
-               rules + n_rules)
-        if inc[0] <= out[0]:
-            stack += (out, inc)
-        else:
-            stack += (inc, out)
-    return incumbent
-
-
-def _first_selection(order: list[PromisingEntry], p: CombineProblem,
-                     budget: float, opt: CostVector) -> tuple[int, ...]:
-    """Phase 2: the lexicographically smallest id tuple of a feasible
-    selection of cost `opt` from `order` (sorted by id).
-
-    A selection is checked by the include that creates it.  A depth-first
-    walk that takes "include" before "exclude" makes those includes in
-    lexicographic order of the selections, so the first hit is the smallest.
-    A node whose bound exceeds `opt` is not pushed.
-    """
-    bound = _bound(order, p)
-    n = len(order)
-    if bound(n, 0, 0, 0) == opt:
-        return ()
-    stack = [(0, 0, 0, 0, 0, ())]
-    while stack:
-        i, pos, neg, size, rules, ids = stack.pop()
-        if i == n:
-            continue
-        if bound(i + 1, pos, neg, size) <= opt:
-            stack.append((i + 1, pos, neg, size, rules, ids))
-        e = order[i]
-        n_rules = len(e.program.rules)
-        if rules + n_rules > budget:
-            continue
-        pos, neg, size = pos | e.pos_bits, neg | e.neg_bits, size + e.size
-        ids += (e.id,)
-        if bound(n, pos, neg, size) == opt:
-            return ids
-        if bound(i + 1, pos, neg, size) <= opt:
-            stack.append((i + 1, pos, neg, size, rules + n_rules, ids))
-    # unreachable: phase 1 found a selection of cost `opt`
-    raise AssertionError("optimal cost unreachable during tie-break")
-
-
 def _dominates(e1: PromisingEntry, e2: PromisingEntry) -> bool:
     """e1 renders e2 unnecessary: covers no fewer positives, no more
     negatives, is no larger in literals or in rules, and is strictly better
@@ -189,7 +119,7 @@ def _dominates(e1: PromisingEntry, e2: PromisingEntry) -> bool:
         return False
     if e1.size > e2.size:
         return False
-    if len(e1.program.rules) > len(e2.program.rules):
+    if e1.rules > e2.rules:
         return False
     if (e1.pos_bits, e1.neg_bits, e1.size) != (e2.pos_bits, e2.neg_bits, e2.size):
         return True
@@ -203,26 +133,36 @@ def _filter_dominated(entries: tuple[PromisingEntry, ...]) -> list[PromisingEntr
     ]
 
 
-def optimal_combination(
-    p: CombineProblem, *, dominance_filter: bool = True
-) -> CombineSolution:
-    """Lexicographically minimal-cost subset over all feasible subsets.
-
-    Among cost-equal optima it selects the smallest id set of the entries
-    that it searches: the non-dominated ones, or with `dominance_filter=False`
-    all of them, which makes the selection `brute_force_combination`'s.
-    """
-    entries = list(p.entries)
-    if dominance_filter:
-        entries = _filter_dominated(p.entries)
-
+def optimal_combination(p: CombineProblem) -> CombineSolution:
+    """The feasible selection of non-dominated entries with the smallest key
+    `(cost, sorted ids)`: a lexicographically minimal cost, ties broken by
+    the smallest id set.  Each selection is scored by the include that
+    creates it; the child with the smaller bound is pushed last."""
+    order = sorted(_filter_dominated(p.entries), key=lambda e: e.id)
     budget = float("inf") if p.max_rules is None else p.max_rules
-    opt = _optimal_cost(
-        sorted(entries, key=lambda e: (-e.pos_bits.bit_count(), e.size, e.id)),
-        p, budget,
-    )
-    ids = _first_selection(sorted(entries, key=lambda e: e.id), p, budget, opt)
-    return _solution(p, ids)
+    bound = _bound(order, p)
+    n = len(order)
+    best = (bound(n, 0, 0, 0), ())
+    stack = [(bound(0, 0, 0, 0), (), 0, 0, 0, 0, 0)]
+    while stack:
+        lb, ids, i, pos, neg, size, rules = stack.pop()
+        if (lb, ids) >= best or i == n:
+            continue
+        e = order[i]
+        out = (bound(i + 1, pos, neg, size), ids, i + 1, pos, neg, size, rules)
+        if rules + e.rules > budget:
+            stack.append(out)
+            continue
+        pos, neg, size = pos | e.pos_bits, neg | e.neg_bits, size + e.size
+        ids += (e.id,)
+        inc = (bound(i + 1, pos, neg, size), ids, i + 1, pos, neg, size,
+               rules + e.rules)
+        best = min(best, (bound(n, pos, neg, size), ids))
+        if inc[0] <= out[0]:
+            stack += (out, inc)
+        else:
+            stack += (inc, out)
+    return _solution(p, best[1])
 
 
 def brute_force_combination(p: CombineProblem) -> CombineSolution:
@@ -239,17 +179,16 @@ def brute_force_combination(p: CombineProblem) -> CombineSolution:
             ids: tuple[int, ...]) -> None:
         nonlocal best
         if i == n:
-            cost = _cost_of(p.spec, pos, neg, size, p.n_pos, p.n_neg)
-            key = (cost, ids)
+            conf = confusion_of(pos, neg, p.n_pos, p.n_neg)
+            key = (evaluate(p.spec, conf, size), ids)
             if best is None or key < best:
                 best = key
             return
         e = entries[i]
         rec(i + 1, pos, neg, size, rules, ids)
-        n_rules = len(e.program.rules)
-        if rules + n_rules <= budget:
+        if rules + e.rules <= budget:
             rec(i + 1, pos | e.pos_bits, neg | e.neg_bits, size + e.size,
-                rules + n_rules, ids + (e.id,))
+                rules + e.rules, ids + (e.id,))
 
     rec(0, 0, 0, 0, 0, ())
     assert best is not None
@@ -268,31 +207,47 @@ def dump_problem(p: CombineProblem) -> str:
 
     budget = "-" if p.max_rules is None else p.max_rules
     return "\n".join([f"max_rules {budget}"] + [
-        f"{e.id} {e.size} {len(e.program.rules)} {bstr(e.pos_bits, p.n_pos)} "
+        f"{e.id} {e.size} {e.rules} {bstr(e.pos_bits, p.n_pos)} "
         f"{bstr(e.neg_bits, p.n_neg)}"
         for e in p.entries
     ])
 
 
 def parse_problem(text: str, spec: CostSpec) -> CombineProblem:
-    """Inverse of dump_problem.  Entry programs are not reconstructed: each
-    is a placeholder with the dumped number of (nullary, bodiless) rules."""
-    lines = [line.split() for line in text.splitlines() if line.strip()]
-    budget = lines[0][1] if lines else "-"
-    entries = []
-    n_pos = n_neg = 0
-    for ident, size, rules, pos_s, neg_s in lines[1:]:
-        pos_s = "" if pos_s == "-" else pos_s
-        neg_s = "" if neg_s == "-" else neg_s
-        n_pos, n_neg = len(pos_s), len(neg_s)
-        entries.append(
-            PromisingEntry(
-                id=int(ident),
-                program=Program(Rule(Atom(f"r{k}", ()), ()) for k in range(int(rules))),
-                pos_bits=string_to_bits(pos_s),
-                neg_bits=string_to_bits(neg_s),
-                size=int(size),
-            )
-        )
-    return CombineProblem(tuple(entries), n_pos, n_neg, spec,
-                          max_rules=None if budget == "-" else int(budget))
+    """Inverse of dump_problem; an empty text is an empty problem.
+
+    A malformed dump raises `ParseError` naming its first bad line: a first
+    line that is not the `max_rules` header, an entry line without five
+    fields or with a count that is not a natural number, a repeated id, a
+    coverage field that is neither `-` nor a bitstring, or bitstrings whose
+    lengths differ from the first entry's.
+    """
+    lines = [(k, line.split()) for k, line in enumerate(text.splitlines(), 1)
+             if line.strip()]
+    if not lines:
+        return CombineProblem((), 0, 0, spec)
+    (k, header), *rows = lines
+    if len(header) != 2 or header[0] != "max_rules" or not (
+            header[1] == "-" or header[1].isdecimal()):
+        raise ParseError("expected a `max_rules N` or `max_rules -` header", k, 1)
+    entries: list[PromisingEntry] = []
+    lengths = (0, 0)
+    for k, fields in rows:
+        if len(fields) != 5 or not all(f.isdecimal() for f in fields[:3]):
+            raise ParseError("expected `id size rules pos neg`", k, 1)
+        ident, size, rules = map(int, fields[:3])
+        pos_s, neg_s = ("" if b == "-" else b for b in fields[3:])
+        if any(e.id == ident for e in entries):
+            raise ParseError(f"repeated entry id {ident}", k, 1)
+        if pos_s.strip("01") or neg_s.strip("01"):
+            raise ParseError("coverage must be a bitstring of 0s and 1s, or -", k, 1)
+        if not entries:
+            lengths = (len(pos_s), len(neg_s))
+        elif (len(pos_s), len(neg_s)) != lengths:
+            raise ParseError(f"bitstring lengths {len(pos_s)}/{len(neg_s)} differ "
+                             f"from the first entry's {lengths[0]}/{lengths[1]}", k, 1)
+        entries.append(PromisingEntry(id=ident, rules=rules,
+                                      pos_bits=string_to_bits(pos_s),
+                                      neg_bits=string_to_bits(neg_s), size=size))
+    return CombineProblem(tuple(entries), *lengths, spec,
+                          max_rules=None if header[1] == "-" else int(header[1]))

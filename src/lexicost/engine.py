@@ -109,6 +109,7 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
     best_cost = evaluate(spec, best_conf, 0)
 
     entries: list[PromisingEntry] = []
+    programs: list[Program] = []  # the program of each entry, by id
     proof = PROOF_OPTIMAL
     history: list[CostVector] = [best_cost]
     final_problem: CombineProblem | None = None
@@ -139,22 +140,20 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
             entries.append(
                 PromisingEntry(
                     id=len(entries),
-                    program=h,
+                    rules=len(h.rules),
                     pos_bits=cov.pos_bits,
                     neg_bits=cov.neg_bits,
                     size=h.size,
                 )
             )
+            programs.append(h)
             stats.promising += 1
             stats.combine_calls += 1
             final_problem = CombineProblem(
                 tuple(entries), n_pos, n_neg, spec, max_rules=t.bias.max_clauses
             )
             sol = optimal_combination(final_problem)
-            selected = set(sol.selected)
-            union = Program(
-                r for e in entries if e.id in selected for r in e.program.rules
-            )
+            union = Program(r for i in sol.selected for r in programs[i].rules)
             ucost = evaluate(spec, sol.conf, union.size)
             if ucost < best_cost:
                 best_prog, best_conf, best_cost = union, sol.conf, ucost

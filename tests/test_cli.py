@@ -404,6 +404,26 @@ class TestBench:
         assert _worker_count(8) == 2
         assert _worker_count(1) == 1
 
+    def test_bad_threads_env_exit_2(self, suite_root, tmp_path, monkeypatch,
+                                    capsys):
+        monkeypatch.setenv("LEXICOST_THREADS", "abc")
+        code = main(["bench", "--root", str(suite_root),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "LEXICOST_THREADS" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("root", ["missing", "file.txt"])
+    def test_root_not_a_directory_exit_2(self, tmp_path, capsys, root):
+        (tmp_path / "file.txt").write_text("")
+        code = main(["bench", "--root", str(tmp_path / root),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and root in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_unreadable_task_records_io_error(self, suite_root):
         bad = suite_root / "broken" / "t1"
         bad.mkdir(parents=True)
@@ -437,9 +457,14 @@ class TestBench:
         ]
 
     def test_demo_suite_matches_golden_csv(self):
-        config = SuiteConfig(root_dir=DEMO, cost_fns=ALL_SPEC_NAMES, repeats=1,
-                             timing=False)
-        assert run_bench(config) == (DATA / "demo_results.csv").read_text()
+        # `bench --root demo --no-timing`, and with `--split 0.5 --repeats 3`
+        for golden, options in (
+            ("demo_results.csv", dict(repeats=1)),
+            ("demo_results_split.csv", dict(repeats=3, split=0.5)),
+        ):
+            config = SuiteConfig(root_dir=DEMO, cost_fns=ALL_SPEC_NAMES,
+                                 timing=False, **options)
+            assert run_bench(config) == (DATA / golden).read_text(), golden
 
     def test_one_parse_and_one_enumeration_per_task(self, monkeypatch):
         from lexicost import cli, generator

@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -13,31 +14,28 @@ from lexicost.combiner import (
     parse_problem,
 )
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS, evaluate, parse_cost_spec
-from lexicost.errors import TooLargeError
+from lexicost.errors import ParseError, TooLargeError
 from lexicost.evaluator import string_to_bits
-from lexicost.kb import Atom, Program, Rule, parse_rule
 
 DATA = Path(__file__).parent / "data"
 
 
-def entry(i, size, pos, neg):
-    return PromisingEntry(id=i, program=Program(), pos_bits=string_to_bits(pos),
+def entry(i, size, pos, neg, rules=0):
+    return PromisingEntry(id=i, rules=rules, pos_bits=string_to_bits(pos),
                           neg_bits=string_to_bits(neg), size=size)
 
 
 def rule_entry(i, size, pos, neg):
-    """An entry backed by a real single-rule program (rule count 1)."""
-    program = Program([parse_rule(f"f(A):- q{i}(A).")])
-    return PromisingEntry(id=i, program=program, pos_bits=string_to_bits(pos),
-                          neg_bits=string_to_bits(neg), size=size)
+    """An entry of one rule."""
+    return entry(i, size, pos, neg, rules=1)
 
 
-def multi_rule_entry(i, size, pos, neg, n_rules):
-    """An entry whose program has `n_rules` placeholder rules, as in
-    `parse_problem`."""
-    program = Program(Rule(Atom(f"r{i}_{k}", ()), ()) for k in range(n_rules))
-    return PromisingEntry(id=i, program=program, pos_bits=string_to_bits(pos),
-                          neg_bits=string_to_bits(neg), size=size)
+def solved_over_non_dominated(p):
+    """`brute_force_combination` over the entries `optimal_combination`
+    searches."""
+    return brute_force_combination(CombineProblem(
+        tuple(_filter_dominated(p.entries)), p.n_pos, p.n_neg, p.spec,
+        max_rules=p.max_rules))
 
 
 def random_problem(rng, spec, max_entries=10, max_pos=12, max_neg=12):
@@ -127,13 +125,15 @@ class TestBruteForceContract:
 
 class TestOracleAgreement:
     def test_cost_and_selection_match_without_filter(self):
+        # the cost is brute force's over all entries, the selection brute
+        # force's over the non-dominated ones
         rng = random.Random(42)
         for trial in range(150):
             spec = NAMED_SPECS[ALL_SPEC_NAMES[trial % len(ALL_SPEC_NAMES)]]
             p = random_problem(rng, spec)
-            a = optimal_combination(p, dominance_filter=False)
-            b = brute_force_combination(p)
-            assert a.cost == b.cost
+            a = optimal_combination(p)
+            b = solved_over_non_dominated(p)
+            assert a.cost == b.cost == brute_force_combination(p).cost
             assert a.selected == b.selected
             assert a.conf == b.conf
             assert a.total_size == b.total_size
@@ -152,20 +152,15 @@ class TestOracleAgreement:
             # as in the engine, every entry covers a positive
             p = CombineProblem(tuple(e for e in p.entries if e.pos_bits),
                                p.n_pos, p.n_neg, spec)
-            kept = CombineProblem(tuple(_filter_dominated(p.entries)),
-                                  p.n_pos, p.n_neg, spec)
             assert optimal_combination(p).selected == \
-                brute_force_combination(kept).selected
+                solved_over_non_dominated(p).selected
 
     def test_dominance_filter_preserves_cost(self):
         rng = random.Random(43)
         for trial in range(150):
             spec = NAMED_SPECS[ALL_SPEC_NAMES[trial % len(ALL_SPEC_NAMES)]]
             p = random_problem(rng, spec)
-            assert (
-                optimal_combination(p, dominance_filter=True).cost
-                == brute_force_combination(p).cost
-            )
+            assert optimal_combination(p).cost == brute_force_combination(p).cost
 
 
 class TestInvariants:
@@ -240,20 +235,20 @@ class TestRuleBudget:
             n = rng.randint(0, 8)
             n_pos, n_neg = rng.randint(1, 10), rng.randint(0, 10)
             entries = tuple(
-                multi_rule_entry(
+                entry(
                     i, rng.randint(2, 8),
                     "".join(rng.choice("01") for _ in range(n_pos)),
                     "".join(rng.choice("01") for _ in range(n_neg)),
-                    rng.randint(1, 3),
+                    rules=rng.randint(1, 3),
                 )
                 for i in range(n)
             )
             p = CombineProblem(entries, n_pos, n_neg, spec,
                                max_rules=rng.randint(1, 4))
-            a = optimal_combination(p, dominance_filter=False)
-            b = brute_force_combination(p)
-            assert a.cost == b.cost and a.selected == b.selected
-            assert optimal_combination(p).cost == b.cost
+            a = optimal_combination(p)
+            b = solved_over_non_dominated(p)
+            assert a.cost == b.cost == brute_force_combination(p).cost
+            assert a.selected == b.selected
 
 
 class TestGoldenPools:
@@ -269,13 +264,31 @@ class TestGoldenPools:
         "mdl": ((3,), (13,)),
     }
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_noisy_pool(self, name):
+    @staticmethod
+    def pool(name):
         p = parse_problem((DATA / "noisy_seed1_combine.txt").read_text(),
                           NAMED_SPECS[name])
         assert (len(p.entries), p.max_rules) == (45, 8)
-        sol = optimal_combination(p)
+        return p
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_noisy_pool(self, name):
+        sol = optimal_combination(self.pool(name))
         assert (sol.selected, sol.cost) == self.GOLDEN[name]
+
+    @pytest.mark.parametrize("name", ALL_SPEC_NAMES)
+    def test_noisy_pool_prefixes(self, name):
+        # entries[:k] is the problem the learner solves when the k-th entry
+        # joins the pool; `noisy_seed1_prefixes.json` holds the selection and
+        # cost of every prefix, written by the two-phase search that preceded
+        # the single branch and bound
+        p = self.pool(name)
+        golden = json.loads((DATA / "noisy_seed1_prefixes.json").read_text())[name]
+        assert len(golden) == len(p.entries)
+        for k, expected in enumerate(golden, 1):
+            sol = optimal_combination(CombineProblem(
+                p.entries[:k], p.n_pos, p.n_neg, p.spec, max_rules=p.max_rules))
+            assert [list(sol.selected), list(sol.cost)] == expected, k
 
 
 class TestDumpFormat:
@@ -308,7 +321,35 @@ class TestDumpFormat:
         assert text.splitlines() == ["max_rules 1", "0 2 1 10 -", "1 2 1 01 -"]
         back = parse_problem(text, NAMED_SPECS["error"])
         assert back.max_rules == 1
-        assert [len(e.program.rules) for e in back.entries] == [1, 1]
+        assert [e.rules for e in back.entries] == [1, 1]
         for problem in (p, back):
             sol = optimal_combination(problem)
             assert sol.selected == (0,) and sol.cost == (1,)
+
+    def test_empty_dump_is_empty_problem(self):
+        p = parse_problem("", NAMED_SPECS["error"])
+        assert (p.entries, p.n_pos, p.n_neg, p.max_rules) == ((), 0, 0, None)
+
+    @pytest.mark.parametrize("text, line", [
+        # the format without a header: the first entry is not a header
+        pytest.param("0 3 0 110 01\n1 4 1 011 00\n", 1, id="no-header"),
+        pytest.param("max_rules\n0 3 0 110 01\n", 1, id="header-no-budget"),
+        pytest.param("max_rules x\n0 3 0 110 01\n", 1, id="header-bad-budget"),
+        pytest.param("max_rules -\n0 3 0 110\n", 2, id="four-fields"),
+        pytest.param("max_rules -\n0 3 0 110 01 1\n", 2, id="six-fields"),
+        pytest.param("max_rules -\n0 3 -1 110 01\n", 2, id="negative-count"),
+        pytest.param("max_rules -\n\n0 3 0 110 01\n0 4 1 011 00\n", 4,
+                     id="repeated-id"),
+        pytest.param("max_rules -\n0 3 0 1x0 01\n", 2, id="not-bits"),
+        # bitstrings shorter or longer than the first entry's
+        pytest.param("max_rules -\n0 3 0 110 01\n1 4 1 01 00\n", 3,
+                     id="shorter-pos"),
+        pytest.param("max_rules -\n0 3 0 11 01\n1 4 1 011 00\n", 3,
+                     id="longer-pos"),
+        pytest.param("max_rules -\n0 3 0 110 01\n1 4 1 011 -\n", 3,
+                     id="missing-neg"),
+    ])
+    def test_malformed_dump_names_the_line(self, text, line):
+        with pytest.raises(ParseError) as caught:
+            parse_problem(text, NAMED_SPECS["error"])
+        assert caught.value.line == line

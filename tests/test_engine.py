@@ -1,8 +1,6 @@
-import functools
-
 import pytest
 
-from lexicost import engine
+from lexicost import combiner, engine
 from lexicost.combiner import optimal_combination
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS, evaluate, parse_cost_spec
 from lexicost.engine import (
@@ -112,8 +110,7 @@ class TestLoopBehaviour:
         reference = learn(task, opts(name)).cost
         switches = {
             "pruning": (CandidateGenerator, "add_constraint", lambda self, c: None),
-            "filter": (engine, "optimal_combination",
-                       functools.partial(optimal_combination, dominance_filter=False)),
+            "filter": (combiner, "_filter_dominated", list),
             "size_bound": (engine, "generator_size_bound", lambda spec, cost: None),
         }
         for off in (["pruning"], ["filter"], ["pruning", "filter"], ["size_bound"]):

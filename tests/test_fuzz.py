@@ -12,6 +12,7 @@ import pytest
 from lexicost.combiner import (
     CombineProblem,
     PromisingEntry,
+    _filter_dominated,
     brute_force_combination,
     optimal_combination,
 )
@@ -112,7 +113,7 @@ def test_combiner_larger_instances(seed):
     entries = tuple(
         PromisingEntry(
             id=i,
-            program=Program(),
+            rules=0,
             pos_bits=rng.getrandbits(n_pos),
             neg_bits=rng.getrandbits(n_neg),
             size=rng.randint(2, 9),
@@ -121,7 +122,9 @@ def test_combiner_larger_instances(seed):
     )
     spec = SPECS[seed % len(SPECS)]
     p = CombineProblem(entries, n_pos, n_neg, spec)
-    fast = optimal_combination(p, dominance_filter=False)
-    slow = brute_force_combination(p)
-    assert fast.cost == slow.cost
+    fast = optimal_combination(p)
+    # the selection is brute force's over the entries the search keeps
+    slow = brute_force_combination(
+        CombineProblem(tuple(_filter_dominated(entries)), n_pos, n_neg, spec))
+    assert fast.cost == slow.cost == brute_force_combination(p).cost
     assert fast.selected == slow.selected
