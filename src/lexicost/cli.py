@@ -24,7 +24,7 @@ from .combiner import dump_problem
 from .cost import parse_cost_spec
 from .engine import LearnOptions, LearnResult, evaluate_on_test, learn
 from .errors import LexicostError, ParseError, ResourceLimitError
-from .evaluator import Confusion, fact_store
+from .evaluator import Confusion, fact_store, with_examples
 from .generator import rule_table
 from .kb import (
     Atom,
@@ -75,6 +75,8 @@ def _result_json(result: LearnResult, test_conf: Confusion | None) -> dict:
             "tested": result.stats.tested,
             "promising": result.stats.promising,
             "combine_calls": result.stats.combine_calls,
+            "combine_skipped": result.stats.combine_skipped,
+            "combine_resolves": result.stats.combine_resolves,
             "stop": result.stats.stop,
         },
         "proof": result.proof,
@@ -249,8 +251,9 @@ def _bench_task(job: tuple[str, str, Path, SuiteConfig]) -> list[ResultRow]:
     """Every (repeat, cost function) row of one task directory.
 
     The files are read and parsed once, and each split's `Task` once.  The
-    task's fact store and the bias's rule table are built before its first
-    `learn`, so `runtime_ms` times `learn` alone and no row pays for another.
+    fact store and the bias's rule table are built once, before the first
+    `learn`, and every split's `Task` shares them, so `runtime_ms` times
+    `learn` alone and no row pays for another.
     """
     domain, name, d, config = job
     repeats = range(1, config.repeats + 1)
@@ -287,7 +290,10 @@ def _bench_task(job: tuple[str, str, Path, SuiteConfig]) -> list[ResultRow]:
                 train_pos, train_neg, test_pos, test_neg = stratified_split(
                     pos, neg, config.split, rng
                 )
-                task = Task(bk_facts=facts, pos=train_pos, neg=train_neg, bias=bias)
+                if task is None:
+                    task = Task(bk_facts=facts, pos=train_pos, neg=train_neg, bias=bias)
+                else:
+                    task = with_examples(task, train_pos, train_neg)
             elif task is None:
                 task = Task(bk_facts=facts, pos=pos, neg=neg, bias=bias)
             fact_store(task)

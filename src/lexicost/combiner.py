@@ -22,11 +22,24 @@ so the pool size is limited by time, not by the interpreter's stack:
 So its selection is the one that `brute_force_combination`, the independent
 exhaustive oracle, makes over the non-dominated entries; over all entries the
 two may select different optima of equal cost.
+
+`CombinePool` keeps the same optimum for a pool that grows one entry at a
+time, each with a larger id than the last, without solving from scratch.
+When entry e arrives, either an entry of the non-dominated front dominates
+it, and nothing changes; or e joins the front and evicts the entries it
+dominates.  If none of those was selected, the old optimum is still the best
+selection without e, so the same search runs with e forced into every
+selection and the old optimum's key as the incumbent; only a strictly
+smaller key replaces it.  Otherwise the pool is solved from scratch.  The
+incumbent is the old key, not the learner's best cost: that cost is a
+union's, whose size can be below the summed sizes when entries share rules,
+so it is no bound on the summed-size cost this search minimises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 from .cost import CostSpec, CostVector, evaluate
 from .errors import LengthMismatchError, ParseError, TooLargeError
@@ -56,10 +69,7 @@ class CombineProblem:
 
     def __post_init__(self):
         for e in self.entries:
-            if e.pos_bits >> self.n_pos or e.neg_bits >> self.n_neg:
-                raise LengthMismatchError(
-                    f"entry {e.id} has coverage bits beyond n_pos/n_neg"
-                )
+            _check_bits(e, self.n_pos, self.n_neg)
 
 
 @dataclass(frozen=True)
@@ -70,18 +80,24 @@ class CombineSolution:
     total_size: int
 
 
-def _solution(problem: CombineProblem, ids: tuple[int, ...]) -> CombineSolution:
-    by_id = {e.id: e for e in problem.entries}
+def _check_bits(e: PromisingEntry, n_pos: int, n_neg: int) -> None:
+    if e.pos_bits >> n_pos or e.neg_bits >> n_neg:
+        raise LengthMismatchError(f"entry {e.id} has coverage bits beyond n_pos/n_neg")
+
+
+def _solution(p: CombineProblem, pool: Iterable[PromisingEntry],
+              ids: tuple[int, ...]) -> CombineSolution:
+    """The selection of the entries of `pool` whose ids are `ids`."""
     pos = neg = size = 0
-    for i in ids:
-        e = by_id[i]
-        pos |= e.pos_bits
-        neg |= e.neg_bits
-        size += e.size
-    conf = confusion_of(pos, neg, problem.n_pos, problem.n_neg)
+    for e in pool:
+        if e.id in ids:
+            pos |= e.pos_bits
+            neg |= e.neg_bits
+            size += e.size
+    conf = confusion_of(pos, neg, p.n_pos, p.n_neg)
     return CombineSolution(
         selected=tuple(sorted(ids)),
-        cost=evaluate(problem.spec, conf, size),
+        cost=evaluate(p.spec, conf, size),
         conf=conf,
         total_size=size,
     )
@@ -133,17 +149,35 @@ def _filter_dominated(entries: tuple[PromisingEntry, ...]) -> list[PromisingEntr
     ]
 
 
-def optimal_combination(p: CombineProblem) -> CombineSolution:
-    """The feasible selection of non-dominated entries with the smallest key
-    `(cost, sorted ids)`: a lexicographically minimal cost, ties broken by
-    the smallest id set.  Each selection is scored by the include that
-    creates it; the child with the smaller bound is pushed last."""
-    order = sorted(_filter_dominated(p.entries), key=lambda e: e.id)
+_Key = tuple[CostVector, tuple[int, ...]]
+
+
+def _search(p: CombineProblem, order: list[PromisingEntry],
+            forced: PromisingEntry | None = None, best: _Key | None = None) -> _Key:
+    """The smallest of `best` and the keys `(cost, sorted ids)` of the
+    feasible selections of entries of `order` (in id order), each with
+    `forced` added when given; `forced`'s id must exceed all of `order`'s.
+
+    Each selection is scored by the include that creates it; the child with
+    the smaller bound is pushed last.  A node is cut when `(bound, ids)` is
+    no smaller than the incumbent: its ids, `forced` left out, are a prefix
+    of the ids of every selection below it.
+    """
     budget = float("inf") if p.max_rules is None else p.max_rules
     bound = _bound(order, p)
     n = len(order)
-    best = (bound(n, 0, 0, 0), ())
-    stack = [(bound(0, 0, 0, 0), (), 0, 0, 0, 0, 0)]
+    if forced is None:
+        pos = neg = size = rules = 0
+        tail: tuple[int, ...] = ()
+    else:
+        pos, neg = forced.pos_bits, forced.neg_bits
+        size, rules = forced.size, forced.rules
+        tail = (forced.id,)
+        if rules > budget:
+            return best
+    key = (bound(n, pos, neg, size), tail)
+    best = key if best is None else min(best, key)
+    stack = [(bound(0, pos, neg, size), (), 0, pos, neg, size, rules)]
     while stack:
         lb, ids, i, pos, neg, size, rules = stack.pop()
         if (lb, ids) >= best or i == n:
@@ -157,12 +191,68 @@ def optimal_combination(p: CombineProblem) -> CombineSolution:
         ids += (e.id,)
         inc = (bound(i + 1, pos, neg, size), ids, i + 1, pos, neg, size,
                rules + e.rules)
-        best = min(best, (bound(n, pos, neg, size), ids))
+        best = min(best, (bound(n, pos, neg, size), ids + tail))
         if inc[0] <= out[0]:
             stack += (out, inc)
         else:
             stack += (inc, out)
-    return _solution(p, best[1])
+    return best
+
+
+def optimal_combination(p: CombineProblem) -> CombineSolution:
+    """The feasible selection of non-dominated entries with the smallest key
+    `(cost, sorted ids)`: a lexicographically minimal cost, ties broken by
+    the smallest id set."""
+    order = sorted(_filter_dominated(p.entries), key=lambda e: e.id)
+    return _solution(p, order, _search(p, order)[1])
+
+
+SKIP, FORCED, FULL = "skip", "forced", "full"
+
+
+class CombinePool:
+    """A combine pool that grows one entry at a time, in increasing id order,
+    with its non-dominated front and the `optimal_combination` of the pool
+    so far, kept up to date by `insert`."""
+
+    def __init__(self, n_pos: int, n_neg: int, spec: CostSpec,
+                 max_rules: int | None = None):
+        # the pool's example counts, spec and budget; its entries are below
+        self._p = CombineProblem((), n_pos, n_neg, spec, max_rules)
+        self.entries: list[PromisingEntry] = []
+        self.front: list[PromisingEntry] = []  # the non-dominated entries
+        self.solution = _solution(self._p, (), ())
+
+    def problem(self) -> CombineProblem:
+        return replace(self._p, entries=tuple(self.entries))
+
+    def insert(self, e: PromisingEntry) -> str:
+        """Add `e` and say which case it was:
+
+        - `SKIP`: an entry of the front dominates `e`; since domination is
+          transitive, nothing else changes;
+        - `FORCED`: `e` evicted no selected entry from the front, and
+          `solution` is now the better of the old one and the best selection
+          that contains `e`;
+        - `FULL`: `e` evicted a selected entry; the caller replaces
+          `solution` with `optimal_combination(self.problem())`, so that
+          every from-scratch solve is a call of that one public function.
+        """
+        if self.entries and e.id <= self.entries[-1].id:
+            raise ValueError(f"entry {e.id} arrives after entry {self.entries[-1].id}")
+        _check_bits(e, self._p.n_pos, self._p.n_neg)
+        self.entries.append(e)
+        if any(_dominates(f, e) for f in self.front):
+            return SKIP
+        evicted = {f.id for f in self.front if _dominates(e, f)}
+        self.front = [f for f in self.front if f.id not in evicted] + [e]
+        if not evicted.isdisjoint(self.solution.selected):
+            return FULL
+        old = (self.solution.cost, self.solution.selected)
+        key = _search(self._p, self.front[:-1], e, old)
+        if key < old:
+            self.solution = _solution(self._p, self.front, key[1])
+        return FORCED
 
 
 def brute_force_combination(p: CombineProblem) -> CombineSolution:
@@ -192,7 +282,7 @@ def brute_force_combination(p: CombineProblem) -> CombineSolution:
 
     rec(0, 0, 0, 0, 0, ())
     assert best is not None
-    return _solution(p, best[1])
+    return _solution(p, entries, best[1])
 
 
 def dump_problem(p: CombineProblem) -> str:

@@ -3,7 +3,12 @@
 Each candidate is tested standalone and may update the best hypothesis
 directly (this is how recursive solutions are found).  Non-recursive
 candidates covering at least one positive example join the promising pool,
-over which the combine stage selects an exactly optimal union.  Candidates
+over which the combine stage selects an exactly optimal union.  The pool is a
+`CombinePool`: a new entry that an older one dominates changes nothing, one
+that evicts no selected entry is searched only in the unions that contain it,
+and only one that evicts a selected entry makes the learner solve the whole
+pool again with `optimal_combination`; `LearnStats` counts the first and last
+kinds.  The union is built only when the selection changes.  Candidates
 covering no positives prune all their specialisations from future
 generation.  When the cost function charges for size, the generator's size
 cap shrinks as the best cost improves, and exhaustion of the stream proves
@@ -13,7 +18,7 @@ The loop also stops, with the same proof, as soon as the best cost is all
 zeros: every cost component is a sum of non-negative counts, so nothing can
 cost less, and since the best is replaced only on a strict improvement, the
 candidates left untested could not have changed the result.  Only the work
-done (`LearnStats`) and the last combine problem are smaller for it.
+done (`LearnStats`) and the final combine problem are smaller for it.
 `LearnStats.stop` records which end the run reached: exhaustion, a zero cost
 or the candidate cap.
 """
@@ -22,7 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combiner import CombineProblem, PromisingEntry, optimal_combination
+from .combiner import (
+    FULL,
+    SKIP,
+    CombinePool,
+    CombineProblem,
+    PromisingEntry,
+    optimal_combination,
+)
 from .cost import CostSpec, CostVector, evaluate, generator_size_bound
 from .evaluator import (
     Confusion,
@@ -51,6 +63,10 @@ class LearnStats:
     tested: int = 0
     promising: int = 0
     combine_calls: int = 0
+    # arrivals that an entry already in the pool dominates, and arrivals that
+    # needed the pool solved from scratch (see `CombinePool.insert`)
+    combine_skipped: int = 0
+    combine_resolves: int = 0
     # why the loop ended: "exhausted" (the stream ran out), "zero-cost" (the
     # best cost is all zeros) or "candidate-cap"
     stop: str = "exhausted"
@@ -108,11 +124,10 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
     best_conf = Confusion(tp=0, fp=0, tn=n_neg, fn=n_pos)
     best_cost = evaluate(spec, best_conf, 0)
 
-    entries: list[PromisingEntry] = []
+    pool = CombinePool(n_pos, n_neg, spec, max_rules=t.bias.max_clauses)
     programs: list[Program] = []  # the program of each entry, by id
     proof = PROOF_OPTIMAL
     history: list[CostVector] = [best_cost]
-    final_problem: CombineProblem | None = None
 
     while True:
         if not any(best_cost):
@@ -137,27 +152,32 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
             history.append(best_cost)
 
         if _admissible(h, conf, spec, t.bias.head_preds):
-            entries.append(
-                PromisingEntry(
-                    id=len(entries),
-                    rules=len(h.rules),
-                    pos_bits=cov.pos_bits,
-                    neg_bits=cov.neg_bits,
-                    size=h.size,
-                )
+            entry = PromisingEntry(
+                id=len(programs),
+                rules=len(h.rules),
+                pos_bits=cov.pos_bits,
+                neg_bits=cov.neg_bits,
+                size=h.size,
             )
             programs.append(h)
             stats.promising += 1
             stats.combine_calls += 1
-            final_problem = CombineProblem(
-                tuple(entries), n_pos, n_neg, spec, max_rules=t.bias.max_clauses
-            )
-            sol = optimal_combination(final_problem)
-            union = Program(r for i in sol.selected for r in programs[i].rules)
-            ucost = evaluate(spec, sol.conf, union.size)
-            if ucost < best_cost:
-                best_prog, best_conf, best_cost = union, sol.conf, ucost
-                history.append(best_cost)
+            before = pool.solution
+            case = pool.insert(entry)
+            if case == SKIP:
+                stats.combine_skipped += 1
+            elif case == FULL:
+                stats.combine_resolves += 1
+                pool.solution = optimal_combination(pool.problem())
+            sol = pool.solution
+            # an unchanged selection cannot beat `best_cost`, which is no
+            # larger than its union's cost since it was selected
+            if sol is not before:
+                union = Program(r for i in sol.selected for r in programs[i].rules)
+                ucost = evaluate(spec, sol.conf, union.size)
+                if ucost < best_cost:
+                    best_prog, best_conf, best_cost = union, sol.conf, ucost
+                    history.append(best_cost)
 
         if conf.tp == 0:
             gen.add_constraint(prune_specializations(h))
@@ -172,7 +192,7 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
         train_conf=best_conf,
         stats=stats,
         proof=proof,
-        final_problem=final_problem,
+        final_problem=pool.problem() if programs else None,
         cost_history=tuple(history),
     )
 

@@ -29,7 +29,7 @@ Coverage takes one of two paths:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -144,6 +144,14 @@ def fact_store(t: Task) -> _Store:
         store = _store_of(t.bk_facts)
         object.__setattr__(t, "_fact_store", store)
     return store
+
+
+def with_examples(t: Task, pos: tuple[Atom, ...], neg: tuple[Atom, ...]) -> Task:
+    """A task with `t`'s background and bias but other examples, sharing
+    `t`'s fact store (built now if `t` has none yet)."""
+    out = replace(t, pos=pos, neg=neg)
+    object.__setattr__(out, "_fact_store", fact_store(t))
+    return out
 
 
 # ---------------------------------------------------------------------------

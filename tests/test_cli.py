@@ -10,6 +10,7 @@ from lexicost.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     SuiteConfig,
+    discover_tasks,
     main,
     run_bench,
     stratified_split,
@@ -67,7 +68,8 @@ class TestLearnCommand:
         assert code == EXIT_OK
         stats = json.loads(capsys.readouterr().out)["stats"]
         assert sorted(stats) == [
-            "combine_calls", "generated", "promising", "stop", "tested"
+            "combine_calls", "combine_resolves", "combine_skipped", "generated",
+            "promising", "stop", "tested"
         ]
         assert stats["stop"] == stop
 
@@ -510,6 +512,23 @@ class TestBench:
             ("enumerate_rules", 2): 1,
         }
         assert seen == [0] * 14
+
+    def test_one_fact_store_per_task_with_split(self, monkeypatch):
+        from lexicost import evaluator
+
+        built = []
+        real = evaluator._store_of
+
+        def counted(facts):
+            built.append(facts)
+            return real(facts)
+
+        monkeypatch.setattr(evaluator, "_store_of", counted)
+        rows = read_results_csv(run_bench(SuiteConfig(
+            root_dir=DEMO, cost_fns=("error",), repeats=3, split=0.5, timing=False,
+        )))
+        assert len(rows) == 9
+        assert len(built) == len(discover_tasks(DEMO)) == 3
 
     def test_invalid_config_rejected(self, suite_root):
         with pytest.raises(LexicostError):

@@ -5,6 +5,10 @@ from pathlib import Path
 import pytest
 
 from lexicost.combiner import (
+    FORCED,
+    FULL,
+    SKIP,
+    CombinePool,
     CombineProblem,
     PromisingEntry,
     _filter_dominated,
@@ -36,6 +40,18 @@ def solved_over_non_dominated(p):
     return brute_force_combination(CombineProblem(
         tuple(_filter_dominated(p.entries)), p.n_pos, p.n_neg, p.spec,
         max_rules=p.max_rules))
+
+
+def grow(p):
+    """Insert `p`'s entries into a `CombinePool` in id order, re-solving from
+    scratch on `FULL` as the learner does; yields (case, solution) after each
+    insert."""
+    pool = CombinePool(p.n_pos, p.n_neg, p.spec, max_rules=p.max_rules)
+    for e in sorted(p.entries, key=lambda e: e.id):
+        case = pool.insert(e)
+        if case == FULL:
+            pool.solution = optimal_combination(pool.problem())
+        yield case, pool.solution
 
 
 def random_problem(rng, spec, max_entries=10, max_pos=12, max_neg=12):
@@ -251,6 +267,62 @@ class TestRuleBudget:
             assert a.selected == b.selected
 
 
+class TestCombinePool:
+    def test_three_cases(self):
+        spec = NAMED_SPECS["errorsize"]
+        p = CombineProblem((
+            rule_entry(0, 3, "10", ""),
+            rule_entry(1, 2, "11", ""),  # dominates the selected entry 0
+            rule_entry(2, 2, "11", ""),  # a copy of entry 1
+            rule_entry(3, 1, "01", ""),
+        ), 2, 0, spec)
+        steps = list(grow(p))
+        assert [case for case, _ in steps] == [FORCED, FULL, SKIP, FORCED]
+        assert [(sol.selected, sol.cost) for _, sol in steps] == [
+            ((0,), (1, 3)), ((1,), (0, 2)), ((1,), (0, 2)), ((1,), (0, 2)),
+        ]
+
+    def test_entries_arrive_in_id_order(self):
+        pool = CombinePool(1, 0, NAMED_SPECS["error"])
+        pool.insert(entry(1, 2, "1", ""))
+        with pytest.raises(ValueError):
+            pool.insert(entry(0, 2, "1", ""))
+
+    def test_random_pools_match_brute_force_at_every_prefix(self):
+        # budgeted pools of multi-rule entries, where some arrivals are built
+        # to dominate a selected entry
+        rng = random.Random(50)
+        seen = set()
+        for trial in range(150):
+            spec = NAMED_SPECS[ALL_SPEC_NAMES[trial % len(ALL_SPEC_NAMES)]]
+            n_pos, n_neg = rng.randint(1, 8), rng.randint(0, 8)
+            max_rules = rng.choice((None, 2, 3, 4))
+            pool = CombinePool(n_pos, n_neg, spec, max_rules=max_rules)
+            for i in range(rng.randint(1, 14)):
+                chosen = pool.solution.selected
+                if chosen and rng.random() < 0.3:
+                    f = pool.entries[rng.choice(chosen)]
+                    e = PromisingEntry(
+                        id=i, rules=rng.randint(1, f.rules),
+                        pos_bits=f.pos_bits | (1 << rng.randrange(n_pos)),
+                        neg_bits=f.neg_bits & rng.getrandbits(n_neg),
+                        size=rng.randint(1, f.size))
+                else:
+                    e = entry(i, rng.randint(2, 8),
+                              "".join(rng.choice("01") for _ in range(n_pos)),
+                              "".join(rng.choice("01") for _ in range(n_neg)),
+                              rules=rng.randint(1, 3))
+                case = pool.insert(e)
+                seen.add(case)
+                if case == FULL:
+                    pool.solution = optimal_combination(pool.problem())
+                oracle = solved_over_non_dominated(pool.problem())
+                assert (pool.solution.selected, pool.solution.cost) == \
+                    (oracle.selected, oracle.cost), (trial, i)
+                assert pool.solution == optimal_combination(pool.problem())
+        assert seen == {SKIP, FORCED, FULL}
+
+
 class TestGoldenPools:
     # the last combine problem of costbench's `noisy` workload, seed 1 (the
     # same pool under each of these cost functions), above the brute-force
@@ -289,6 +361,13 @@ class TestGoldenPools:
             sol = optimal_combination(CombineProblem(
                 p.entries[:k], p.n_pos, p.n_neg, p.spec, max_rules=p.max_rules))
             assert [list(sol.selected), list(sol.cost)] == expected, k
+
+    @pytest.mark.parametrize("name", ALL_SPEC_NAMES)
+    def test_noisy_pool_prefixes_incremental(self, name):
+        # the same prefixes, as the learner's pool meets them one at a time
+        golden = json.loads((DATA / "noisy_seed1_prefixes.json").read_text())[name]
+        got = [[list(sol.selected), list(sol.cost)] for _, sol in grow(self.pool(name))]
+        assert got == golden
 
 
 class TestDumpFormat:

@@ -1,7 +1,7 @@
 import pytest
 
 from lexicost import combiner, engine
-from lexicost.combiner import optimal_combination
+from lexicost.combiner import FULL, SKIP, CombinePool, optimal_combination
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS, evaluate, parse_cost_spec
 from lexicost.engine import (
     LearnOptions,
@@ -143,16 +143,28 @@ class TestLoopBehaviour:
         assert res.stats.combine_calls == res.stats.promising
         assert res.final_problem.max_rules == trains_task.bias.max_clauses
 
-    def test_final_problem_is_the_last_one_solved(self, trains_task, monkeypatch):
-        solved = []
+    def test_final_problem_is_the_last_one_solved(self, trains_task, path_task_full,
+                                                  monkeypatch):
+        # the final problem holds every promising entry in arrival order,
+        # solving it from scratch selects what the learner's pool ended on,
+        # and the stats count the pool's skips and full re-solves
+        real_insert = CombinePool.insert
+        for task in (trains_task, path_task_full):
+            pools, inserted, cases = set(), [], []
 
-        def record(problem):
-            solved.append(problem)
-            return optimal_combination(problem)
+            def record(pool, e):
+                pools.add(pool)
+                inserted.append(e)
+                cases.append(real_insert(pool, e))
+                return cases[-1]
 
-        monkeypatch.setattr(engine, "optimal_combination", record)
-        res = learn(trains_task, opts("errorsize"))
-        assert res.final_problem is solved[-1]
+            monkeypatch.setattr(CombinePool, "insert", record)
+            res = learn(task, opts("errorsize"))
+            (pool,) = pools
+            assert inserted and res.final_problem.entries == tuple(inserted)
+            assert optimal_combination(res.final_problem) == pool.solution
+            assert res.stats.combine_skipped == cases.count(SKIP)
+            assert res.stats.combine_resolves == cases.count(FULL)
 
 
 class TestZeroCostStop:
