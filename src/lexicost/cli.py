@@ -72,7 +72,6 @@ def _result_json(result: LearnResult, test_conf: Confusion | None) -> dict:
         },
         "stats": {
             "generated": result.stats.generated,
-            "tested": result.stats.tested,
             "promising": result.stats.promising,
             "combine_calls": result.stats.combine_calls,
             "combine_skipped": result.stats.combine_skipped,
@@ -251,9 +250,11 @@ def _bench_task(job: tuple[str, str, Path, SuiteConfig]) -> list[ResultRow]:
     """Every (repeat, cost function) row of one task directory.
 
     The files are read and parsed once, and each split's `Task` once.  The
-    fact store and the bias's rule table are built once, before the first
-    `learn`, and every split's `Task` shares them, so `runtime_ms` times
-    `learn` alone and no row pays for another.
+    fact store and the bias's rules are built once, before the first
+    `learn`, and every split's `Task` shares them.  `runtime_ms` times the
+    row's `learn` call, which lists the candidates of each size that no
+    earlier row of the task reached (see `generator.candidate_ids`), so the
+    first row pays for most of the listing.
     """
     domain, name, d, config = job
     repeats = range(1, config.repeats + 1)

@@ -36,6 +36,7 @@ from .combiner import (
     optimal_combination,
 )
 from .cost import CostSpec, CostVector, evaluate, generator_size_bound
+from .errors import LexicostError
 from .evaluator import (
     Confusion,
     confusion,
@@ -56,11 +57,16 @@ class LearnOptions:
     max_size: int | None = None
     candidate_cap: int | None = None
 
+    def __post_init__(self):
+        for name in ("max_size", "candidate_cap"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise LexicostError(f"{name} must be >= 0, got {value}")
+
 
 @dataclass
 class LearnStats:
     generated: int = 0
-    tested: int = 0
     promising: int = 0
     combine_calls: int = 0
     # arrivals that an entry already in the pool dominates, and arrivals that
@@ -144,7 +150,6 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
 
         cov = coverage(h, t)
         conf = confusion(cov, t)
-        stats.tested += 1
 
         standalone = evaluate(spec, conf, h.size)
         if standalone < best_cost:

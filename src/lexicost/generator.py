@@ -13,7 +13,7 @@ combine stage's job.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .kb import VAR, Atom, Bias, Program, Rule, Term, variable_name
@@ -110,18 +110,17 @@ def _rule_redundant(r: Rule) -> bool:
     return bool(pending)
 
 
+def _one_subsumes_another(rules: Sequence[Rule]) -> bool:
+    """Some rule theta-subsumes another, which the union therefore does not need."""
+    return any(theta_subsumes(r1, r2) for r1, r2 in itertools.permutations(rules, 2))
+
+
 def is_redundant(p: Program) -> bool:
     """Obviously-simplifiable program: a removable literal or a subsumed rule."""
-    for r in p.rules:
-        if _rule_redundant(r):
-            return True
-    for r1, r2 in itertools.permutations(p.rules, 2):
-        if theta_subsumes(r1, r2):
-            return True
-    return False
+    return any(_rule_redundant(r) for r in p.rules) or _one_subsumes_another(p.rules)
 
 
-def _all_rules_can_fire(p: Program, edb_preds: frozenset[tuple[str, int]]) -> bool:
+def _all_rules_can_fire(rules: Sequence[Rule], edb_preds: frozenset[tuple[str, int]]) -> bool:
     """Reject programs containing a rule that can never fire.
 
     A body predicate is available if it is a background relation or derivable
@@ -135,7 +134,7 @@ def _all_rules_can_fire(p: Program, edb_preds: frozenset[tuple[str, int]]) -> bo
     changed = True
     while changed:
         changed = False
-        for r in p.rules:
+        for r in rules:
             hkey = (r.head.predicate, r.head.arity)
             if hkey in derivable:
                 continue
@@ -147,7 +146,7 @@ def _all_rules_can_fire(p: Program, edb_preds: frozenset[tuple[str, int]]) -> bo
                 changed = True
     return all(
         (a.predicate, a.arity) in edb_preds or (a.predicate, a.arity) in derivable
-        for r in p.rules
+        for r in rules
         for a in r.body
     )
 
@@ -206,6 +205,8 @@ class RuleTable:
     rules: list[Rule] = field(default_factory=list)
     # ends[s]: the number of rules of size <= s, for each size interned so far
     ends: list[int] = field(default_factory=lambda: [0, 0])
+    # candidates[s]: `list_candidates(bias, s)`, for each size listed so far
+    candidates: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
 
 
 def rule_table(bias: Bias, max_size: int) -> RuleTable:
@@ -226,17 +227,61 @@ def rule_table(bias: Bias, max_size: int) -> RuleTable:
     return table
 
 
-class CandidateGenerator:
-    """Stateful candidate stream over a bias; single-owner, engine-driven.
+def _unions(sizes: list[int], start: int, total: int, slots: int) -> Iterator[tuple[int, ...]]:
+    """Ascending tuples of 1 .. slots rule ids from `start` on whose sizes sum
+    to `total`, in ascending tuple order; `sizes` ascend and are all >= 2."""
+    for j in range(start, len(sizes)):
+        left = total - sizes[j]
+        if left < 0:
+            return
+        if left == 0:
+            yield (j,)
+        elif left >= 2 and slots > 1:
+            for rest in _unions(sizes, j + 1, left, slots - 1):
+                yield (j, *rest)
 
-    Rules are named by their ids in the bias's `rule_table`.  Specialisation
-    anchors are numbered in arrival order, and for each rule id the generator
-    keeps a bitset over anchor numbers: bit k is set iff some rule of anchor
-    k theta-subsumes that rule.  A program is blocked iff some anchor
-    subsumes every one of its rules, i.e. iff the AND of its rules' bitsets
-    is non-zero.  Bitsets are extended lazily, when a candidate containing
-    the rule reaches the check, so each (anchor, rule) pair is tested at
-    most once.
+
+def list_candidates(bias: Bias, size: int) -> list[tuple[int, ...]]:
+    """Every candidate program of total size `size`, as sorted rule-id tuples.
+
+    The candidates are the rules of that size and, under recursion, the
+    unions of up to `max_clauses` rules in which no rule theta-subsumes
+    another; each must have only rules that can fire.  Since ids follow
+    `Rule.sort_key`, the list is in the order of the programs' rule sort
+    keys.  No anchor or size cap filters it.
+    """
+    rules = rule_table(bias, size).rules
+    slots = bias.max_clauses if bias.enable_recursion else 1
+    listed = []
+    for ids in _unions([r.size for r in rules], 0, size, slots):
+        chosen = [rules[i] for i in ids]
+        if _all_rules_can_fire(chosen, bias.body_preds) and not _one_subsumes_another(chosen):
+            listed.append(ids)
+    return listed
+
+
+def candidate_ids(bias: Bias, size: int) -> list[tuple[int, ...]]:
+    """`list_candidates(bias, size)`, listed once and kept in the rule table
+    for every generator over the bias."""
+    candidates = rule_table(bias, size).candidates
+    if size not in candidates:
+        candidates[size] = list_candidates(bias, size)
+    return candidates[size]
+
+
+class CandidateGenerator:
+    """Stateful filter over the bias's candidate lists; single-owner,
+    engine-driven.
+
+    The generator walks `candidate_ids` size by size, stops once its size
+    cap is below the current size, and builds a `Program` only for a
+    candidate that it emits.  Specialisation anchors are numbered in arrival
+    order, and for each rule id the generator keeps a bitset over anchor
+    numbers: bit k is set iff some rule of anchor k theta-subsumes that rule.
+    A program is blocked iff some anchor subsumes every one of its rules,
+    i.e. iff the AND of its rules' bitsets is non-zero.  Bitsets are
+    extended lazily, when a candidate containing the rule reaches the check,
+    so each (anchor, rule) pair is tested at most once.
     """
 
     def __init__(self, bias: Bias, *, size_cap: int | None = None):
@@ -245,8 +290,9 @@ class CandidateGenerator:
         self.size_cap = min(cap, bias.max_program_size)
         self._anchors: list[Program] = []
         self._anchor_set: set[Program] = set()
+        # the current size, and the rest of its list (None until it is reached)
         self._size = 1
-        self._buffer: deque[tuple[Program, tuple[int, ...]]] = deque()
+        self._listed: Iterator[tuple[int, ...]] | None = None
         # shared with every generator over the bias; extended in place
         self._rules = rule_table(bias, 0).rules
         # per rule id: bitset of subsuming anchors, and anchors tested so far
@@ -271,21 +317,24 @@ class CandidateGenerator:
 
         Programs are unique by construction, so none is emitted twice.
         """
-        while True:
-            while not self._buffer:
-                if not self._advance():
-                    return None
-            p, ids = self._buffer.popleft()
-            if not self._blocked(p, ids):
-                return p
+        while self._size <= self.size_cap:
+            if self._listed is None:
+                self._listed = iter(candidate_ids(self.bias, self._size))
+                grow = len(self._rules) - len(self._subsumed_by)
+                self._subsumed_by += [0] * grow
+                self._anchors_tested += [0] * grow
+            for ids in self._listed:
+                if not self._blocked(ids):
+                    return Program(self._rules[i] for i in ids)
+            self._size += 1
+            self._listed = None
+        return None
 
     def __iter__(self):
         while (p := self.next_candidate()) is not None:
             yield p
 
-    def _blocked(self, p: Program, ids: tuple[int, ...]) -> bool:
-        if p.size > self.size_cap:
-            return True
+    def _blocked(self, ids: tuple[int, ...]) -> bool:
         n_anchors = len(self._anchors)
         if not n_anchors:
             return False
@@ -306,64 +355,3 @@ class CandidateGenerator:
                 bits |= 1 << k
         self._subsumed_by[rule_id] = bits
         self._anchors_tested[rule_id] = n_anchors
-
-    def _advance(self) -> bool:
-        self._size += 1
-        if self._size > min(self.size_cap, self.bias.max_program_size):
-            return False
-        self._buffer.extend(self._programs_of_total(self._size))
-        return True
-
-    # -- enumeration --------------------------------------------------------
-
-    def _programs_of_total(self, total: int) -> list[tuple[Program, tuple[int, ...]]]:
-        rules, ends = self._rules, rule_table(self.bias, total).ends
-        grow = len(rules) - len(self._subsumed_by)
-        self._subsumed_by.extend([0] * grow)
-        self._anchors_tested.extend([0] * grow)
-
-        def upto(rsize: int) -> int:
-            return ends[min(rsize, len(ends) - 1)]
-
-        programs = [(Program([rules[i]]), (i,))
-                    for i in range(upto(total - 1), upto(total))]
-        if self.bias.enable_recursion and self.bias.max_clauses >= 2:
-            n_flat = upto(total - 2)
-            chosen: list[int] = []
-
-            def rec(start: int, remaining: int) -> None:
-                if remaining == 0:
-                    if len(chosen) >= 2:
-                        self._maybe_add_multi(programs, chosen)
-                    return
-                if len(chosen) >= self.bias.max_clauses or remaining < 2:
-                    return
-                budget_rules = self.bias.max_clauses - len(chosen)
-                for j in range(start, n_flat):
-                    sz = rules[j].size
-                    if sz > remaining:
-                        continue
-                    # the leftover must be fillable with 1..budget-1 more rules
-                    left = remaining - sz
-                    if left != 0 and (budget_rules == 1 or left < 2):
-                        continue
-                    chosen.append(j)
-                    rec(j + 1, left)
-                    chosen.pop()
-
-            rec(0, total)
-            # `rec` refers to itself: without this the cycle keeps the
-            # generator alive until the cyclic garbage collector runs
-            del rec
-        edb = self.bias.body_preds
-        programs = [(p, ids) for p, ids in programs if _all_rules_can_fire(p, edb)]
-        # ids ascend within each tuple, so this orders by the rules' sort keys
-        return sorted(programs, key=lambda entry: entry[1])
-
-    def _maybe_add_multi(self, programs: list[tuple[Program, tuple[int, ...]]],
-                         chosen: list[int]) -> None:
-        rules = [self._rules[i] for i in chosen]
-        for r1, r2 in itertools.permutations(rules, 2):
-            if theta_subsumes(r1, r2):
-                return
-        programs.append((Program(rules), tuple(chosen)))

@@ -69,9 +69,22 @@ class TestLearnCommand:
         stats = json.loads(capsys.readouterr().out)["stats"]
         assert sorted(stats) == [
             "combine_calls", "combine_resolves", "combine_skipped", "generated",
-            "promising", "stop", "tested"
+            "promising", "stop"
         ]
         assert stats["stop"] == stop
+
+    @pytest.mark.parametrize("option", [["--max-size", "-3"],
+                                        ["--candidate-cap", "-1"]])
+    def test_negative_limit_exit_2(self, trains_dir, capsys, option):
+        code = main([
+            "learn",
+            "--bk", str(trains_dir / "bk.datalog"),
+            "--exs", str(trains_dir / "exs.datalog"),
+            "--bias", str(trains_dir / "bias.txt"),
+            "--cost", "errorsize", *option,
+        ])
+        assert code == EXIT_INPUT
+        assert "must be >= 0" in capsys.readouterr().err
 
     def test_learn_with_test_examples(self, trains_dir, capsys):
         (trains_dir / "test.datalog").write_text(
@@ -459,13 +472,16 @@ class TestBench:
         ]
 
     def test_demo_suite_matches_golden_csv(self):
-        # `bench --root demo --no-timing`, and with `--split 0.5 --repeats 3`
+        # `bench --root demo --no-timing`, with `--costs` reversed (the first
+        # cost function to reach a size lists its candidates), and with
+        # `--split 0.5 --repeats 3`
         for golden, options in (
             ("demo_results.csv", dict(repeats=1)),
+            ("demo_results.csv", dict(repeats=1, cost_fns=ALL_SPEC_NAMES[::-1])),
             ("demo_results_split.csv", dict(repeats=3, split=0.5)),
         ):
-            config = SuiteConfig(root_dir=DEMO, cost_fns=ALL_SPEC_NAMES,
-                                 timing=False, **options)
+            options.setdefault("cost_fns", ALL_SPEC_NAMES)
+            config = SuiteConfig(root_dir=DEMO, timing=False, **options)
             assert run_bench(config) == (DATA / golden).read_text(), golden
 
     def test_one_parse_and_one_enumeration_per_task(self, monkeypatch):
@@ -477,7 +493,7 @@ class TestBench:
             real = getattr(module, name)
 
             def wrapped(*args):
-                key = (name, args[1]) if name == "enumerate_rules" else name
+                key = (name, args[1]) if module is generator else name
                 calls[key] += 1
                 return real(*args)
 
@@ -486,32 +502,36 @@ class TestBench:
         for name in ("parse_facts", "parse_examples", "parse_bias"):
             counted(cli, name)
         counted(generator, "enumerate_rules")
+        counted(generator, "list_candidates")
         real_learn = cli.learn
         seen = []
 
         def learn(task, options):
-            # the fact store and the rule table are ready before the timer
+            # the fact store and the rule table are ready before the timer;
+            # a size's candidates are listed by the first row to reach it
             assert "_fact_store" in task.__dict__
-            before = sum(calls.values())
+            before = calls.copy()
             result = real_learn(task, options)
-            seen.append(sum(calls.values()) - before)
+            seen.append(sorted((calls - before).keys()))
             return result
 
         monkeypatch.setattr(cli, "learn", learn)
-        # reach/t1: recursive, max_body 2, with held-out examples
+        # reach/t1: recursive, max_body 2, max_clauses 2, with held-out examples
         rows = read_results_csv(run_bench(SuiteConfig(
             root_dir=DEMO / "reach", cost_fns=ALL_SPEC_NAMES, repeats=2,
             timing=False,
         )))
         assert [r.status for r in rows] == ["ok"] * 14
+        listed = {("list_candidates", size): 1 for size in range(1, 6)}
         assert calls == {
             "parse_facts": 1,
             "parse_examples": 2,  # exs.datalog and test_exs.datalog
             "parse_bias": 1,
             ("enumerate_rules", 1): 1,
             ("enumerate_rules", 2): 1,
+            **listed,
         }
-        assert seen == [0] * 14
+        assert sorted(key for keys in seen for key in keys) == sorted(listed)
 
     def test_one_fact_store_per_task_with_split(self, monkeypatch):
         from lexicost import evaluator

@@ -167,13 +167,31 @@ class TestRuleTable:
     ], ids=["plain", "recursive"])
     def test_partial_table_changes_no_stream(self, b):
         fresh = list(CandidateGenerator(dataclasses.replace(b)))  # an equal bias, own table
+        # the capped generator lists sizes 1 .. 3 while holding anchors
         capped = CandidateGenerator(b, size_cap=3)
-        assert all(p.size <= 3 for p in capped)
+        for i, p in enumerate(capped):
+            assert p.size <= 3
+            if i % 2 == 0:
+                capped.add_constraint(prune_specializations(p))
         table = rule_table(b, 3)
         assert len(table.ends) == 4
         assert list(CandidateGenerator(b)) == fresh
         assert table.rules == sorted(table.rules, key=Rule.sort_key)
         assert len(table.ends) == 5
+
+
+    def test_second_generator_makes_no_subsumption_check(self, monkeypatch):
+        from lexicost import generator
+
+        b = dataclasses.replace(TINY_BIASES[4])  # path/edge, recursive; own table
+        first = list(CandidateGenerator(b))
+        checks = []
+        real = generator.theta_subsumes
+        monkeypatch.setattr(generator, "theta_subsumes",
+                            lambda r1, r2: checks.append(1) or real(r1, r2))
+        assert list(CandidateGenerator(b)) == first
+        assert any(len(p.rules) > 1 for p in first)
+        assert checks == []
 
 
 TINY_BIASES = [
