@@ -35,7 +35,6 @@ from .kb import (
     Program,
     Rule,
     Task,
-    Term,
     atom,
     parse_program,
     parse_rule,
@@ -67,7 +66,6 @@ __all__ = [
     "PromisingEntry",
     "Rule",
     "Task",
-    "Term",
     "atom",
     "brute_force_combination",
     "compare",

@@ -73,7 +73,6 @@ def _result_json(result: LearnResult, test_conf: Confusion | None) -> dict:
         "stats": {
             "generated": result.stats.generated,
             "promising": result.stats.promising,
-            "combine_calls": result.stats.combine_calls,
             "combine_skipped": result.stats.combine_skipped,
             "combine_resolves": result.stats.combine_resolves,
             "stop": result.stats.stop,
@@ -86,14 +85,10 @@ def _result_json(result: LearnResult, test_conf: Confusion | None) -> dict:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    try:
-        bk_text = Path(args.bk).read_text()
-        exs_text = Path(args.exs).read_text()
-        bias_text = Path(args.bias).read_text()
-        test_text = Path(args.test_exs).read_text() if args.test_exs else None
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    bk_text = Path(args.bk).read_text()
+    exs_text = Path(args.exs).read_text()
+    bias_text = Path(args.bias).read_text()
+    test_text = Path(args.test_exs).read_text() if args.test_exs else None
 
     spec = parse_cost_spec(args.cost)
     task = parse_task(bk_text, exs_text, bias_text)
@@ -111,11 +106,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
     if args.dump_combine:
         text = dump_problem(result.final_problem) if result.final_problem else ""
-        try:
-            Path(args.dump_combine).write_text(text + ("\n" if text else ""))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        Path(args.dump_combine).write_text(text + ("\n" if text else ""))
 
     payload = _result_json(result, test_conf)
     if args.format == "json":
@@ -422,12 +413,7 @@ def _round_floats(obj):
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.results).read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    rows = read_results_csv(text)
+    rows = read_results_csv(Path(args.results).read_text())
     report = analyze_results(rows)
     if args.out_dir:
         _write_analysis_csvs(report, Path(args.out_dir))
@@ -498,7 +484,8 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
-    except LexicostError as exc:
+    # an unreadable input or an unwritable output is an input error too
+    except (LexicostError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -68,7 +68,6 @@ class LearnOptions:
 class LearnStats:
     generated: int = 0
     promising: int = 0
-    combine_calls: int = 0
     # arrivals that an entry already in the pool dominates, and arrivals that
     # needed the pool solved from scratch (see `CombinePool.insert`)
     combine_skipped: int = 0
@@ -166,7 +165,6 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
             )
             programs.append(h)
             stats.promising += 1
-            stats.combine_calls += 1
             before = pool.solution
             case = pool.insert(entry)
             if case == SKIP:

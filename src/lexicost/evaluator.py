@@ -34,7 +34,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import LengthMismatchError, LexicostError, ResourceLimitError
-from .kb import Atom, Program, Rule, Task, const
+from .kb import Atom, Program, Rule, Task, is_var
 
 DEFAULT_ATOM_CAP = 10_000_000
 
@@ -133,7 +133,7 @@ _Store = defaultdict[_Key, _Relation]
 def _store_of(facts: Iterable[Atom]) -> _Store:
     store: _Store = defaultdict(_Relation)
     for a in facts:
-        store[(a.predicate, a.arity)].tuples.add(tuple(t.name for t in a.args))
+        store[(a.predicate, a.arity)].tuples.add(a.args)
     return store
 
 
@@ -180,10 +180,10 @@ def _compile_rule(rule: Rule) -> _CompiledRule:
         out = []
         for t in a.args:
             # variable and constant names never clash: their first letters differ
-            if t.name not in slots:
-                slots[t.name] = len(template)
-                template.append(None if t.is_var else t.name)
-            out.append(slots[t.name])
+            if t not in slots:
+                slots[t] = len(template)
+                template.append(None if is_var(t) else t)
+            out.append(slots[t])
         return tuple(out)
 
     head = slots_of(rule.head)
@@ -389,7 +389,7 @@ def least_model(
         [_compile_rule(r) for r in p.rules], _store_of(facts), max_atoms
     )
     return frozenset(
-        Atom(pred, tuple(const(name) for name in row))
+        Atom(pred, row)
         for (pred, _arity), rel in relations.items()
         for row in rel.tuples
     )
@@ -418,7 +418,7 @@ def coverage_of_examples(
     def bits(examples: tuple[Atom, ...]) -> int:
         out = 0
         for i, a in enumerate(examples):
-            if holds((a.predicate, len(a.args)), tuple([x.name for x in a.args])):
+            if holds((a.predicate, len(a.args)), a.args):
                 out |= 1 << i
         return out
 

@@ -16,7 +16,7 @@ import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
-from .kb import VAR, Atom, Bias, Program, Rule, Term, variable_name
+from .kb import Atom, Bias, Program, Rule, is_var, variable_name
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,13 @@ def prune_specializations(anchor: Program) -> Constraint:
 # ---------------------------------------------------------------------------
 
 
-def _bind_atom(a1: Atom, a2: Atom, theta: dict[str, Term]) -> bool:
+def _bind_atom(a1: Atom, a2: Atom, theta: dict[str, str]) -> bool:
     """Extend theta so that a1·theta == a2; mutates theta, no undo."""
     for t1, t2 in zip(a1.args, a2.args):
-        if t1.is_var:
-            bound = theta.get(t1.name)
+        if is_var(t1):
+            bound = theta.get(t1)
             if bound is None:
-                theta[t1.name] = t2
+                theta[t1] = t2
             elif bound != t2:
                 return False
         elif t1 != t2:
@@ -51,7 +51,7 @@ def _bind_atom(a1: Atom, a2: Atom, theta: dict[str, Term]) -> bool:
 
 
 def _cover_body(lits: tuple[Atom, ...], candidates: tuple[Atom, ...],
-                theta: dict[str, Term]) -> bool:
+                theta: dict[str, str]) -> bool:
     if not lits:
         return True
     first, rest = lits[0], lits[1:]
@@ -67,7 +67,7 @@ def theta_subsumes(r1: Rule, r2: Rule) -> bool:
     """True iff a substitution maps r1's head to r2's head and its body into r2's."""
     if (r1.head.predicate, r1.head.arity) != (r2.head.predicate, r2.head.arity):
         return False
-    theta: dict[str, Term] = {}
+    theta: dict[str, str] = {}
     if not _bind_atom(r1.head, r2.head, theta):
         return False
     return _cover_body(r1.body, r2.body, theta)
@@ -164,7 +164,7 @@ def _literal_pool(bias: Bias) -> list[tuple[Atom, frozenset[int]]]:
     pool = []
     for pred, arity in sorted(preds):
         for pattern in itertools.product(range(bias.max_vars), repeat=arity):
-            a = Atom(pred, tuple(Term(VAR, variable_name(i)) for i in pattern))
+            a = Atom(pred, tuple(variable_name(i) for i in pattern))
             pool.append((a, frozenset(pattern)))
     return pool
 
@@ -176,7 +176,7 @@ def enumerate_rules(bias: Bias, body_len: int) -> list[Rule]:
     for hp, ha in sorted(bias.head_preds):
         if ha > bias.max_vars:
             continue
-        head = Atom(hp, tuple(Term(VAR, variable_name(i)) for i in range(ha)))
+        head = Atom(hp, tuple(variable_name(i) for i in range(ha)))
         head_ids = frozenset(range(ha))
         for combo in itertools.combinations(range(len(pool)), body_len):
             used = set(head_ids)

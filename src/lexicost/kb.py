@@ -24,9 +24,6 @@ from .errors import (
     UnknownPredicateError,
 )
 
-VAR = "var"
-CONST = "const"
-
 _IDENT = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_]*")
 
 
@@ -37,48 +34,16 @@ def variable_name(index: int) -> str:
     return f"V{index}"
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    kind: str
-    name: str
-
-    def __post_init__(self):
-        if self.kind == VAR:
-            if not self.name or not self.name[0].isupper():
-                raise ValueError(f"variable name must start uppercase: {self.name!r}")
-        elif self.kind == CONST:
-            if not self.name or not (self.name[0].islower() or self.name[0].isdigit()):
-                raise ValueError(
-                    f"constant name must start with a lowercase letter or digit: {self.name!r}"
-                )
-        else:
-            raise ValueError(f"unknown term kind: {self.kind!r}")
-
-    @property
-    def is_var(self) -> bool:
-        return self.kind == VAR
-
-    def __str__(self) -> str:
-        return self.name
-
-
-def var(name: str) -> Term:
-    return Term(VAR, name)
-
-
-def const(name: str) -> Term:
-    return Term(CONST, name)
-
-
-def term(name: str) -> Term:
-    """Build a Term from its name alone; the leading character decides the kind."""
-    return var(name) if name[0].isupper() else const(name)
+def is_var(name: str) -> bool:
+    """A term is its name: uppercase-led names are variables, the rest
+    (lowercase- or digit-led) constants."""
+    return name[0].isupper()
 
 
 @dataclass(frozen=True, slots=True)
 class Atom:
     predicate: str
-    args: tuple[Term, ...]
+    args: tuple[str, ...]
 
     @property
     def arity(self) -> int:
@@ -86,38 +51,27 @@ class Atom:
 
     @property
     def is_ground(self) -> bool:
-        return all(not t.is_var for t in self.args)
+        return not any(is_var(t) for t in self.args)
 
     def variables(self) -> Iterator[str]:
-        for t in self.args:
-            if t.is_var:
-                yield t.name
+        return filter(is_var, self.args)
 
-    def substitute(self, mapping: dict[str, Term]) -> "Atom":
-        return Atom(
-            self.predicate,
-            tuple(mapping.get(t.name, t) if t.is_var else t for t in self.args),
-        )
+    def substitute(self, mapping: dict[str, str]) -> "Atom":
+        return Atom(self.predicate, tuple(mapping.get(t, t) for t in self.args))
 
     def sort_key(self):
-        return (self.predicate, len(self.args), tuple((t.kind, t.name) for t in self.args))
+        # constants before variables, then by name: rule ids follow this order
+        return (self.predicate, len(self.args), tuple((is_var(t), t) for t in self.args))
 
     def __str__(self) -> str:
         if not self.args:
             return self.predicate
-        return f"{self.predicate}({','.join(t.name for t in self.args)})"
+        return f"{self.predicate}({','.join(self.args)})"
 
 
 def atom(predicate: str, *names: str) -> Atom:
-    """Convenience constructor: `atom("edge", "a", "X")` infers term kinds."""
-    return Atom(predicate, tuple(term(n) for n in names))
-
-
-def _rename_atom(a: Atom, mapping: dict[str, str]) -> Atom:
-    return Atom(
-        a.predicate,
-        tuple(Term(VAR, mapping[t.name]) if t.is_var else t for t in a.args),
-    )
+    """Convenience constructor: `atom("edge", "a", "X")`."""
+    return Atom(predicate, names)
 
 
 def _canonicalise(head: Atom, body: Iterable[Atom]) -> tuple[Atom, tuple[Atom, ...]]:
@@ -136,9 +90,9 @@ def _canonicalise(head: Atom, body: Iterable[Atom]) -> tuple[Atom, tuple[Atom, .
 
     body_set = set(body)
     body_vars = sorted({v for a in body_set for v in a.variables() if v not in head_map})
-    new_head = _rename_atom(head, head_map)
+    new_head = head.substitute(head_map)
     if not body_vars:
-        return new_head, tuple(sorted((_rename_atom(a, head_map) for a in body_set),
+        return new_head, tuple(sorted((a.substitute(head_map) for a in body_set),
                                       key=Atom.sort_key))
 
     names = [variable_name(len(head_map) + i) for i in range(len(body_vars))]
@@ -146,7 +100,7 @@ def _canonicalise(head: Atom, body: Iterable[Atom]) -> tuple[Atom, tuple[Atom, .
     for perm in itertools.permutations(names):
         mapping = dict(head_map)
         mapping.update(zip(body_vars, perm))
-        cand = tuple(sorted((_rename_atom(a, mapping) for a in body_set), key=Atom.sort_key))
+        cand = tuple(sorted((a.substitute(mapping) for a in body_set), key=Atom.sort_key))
         key = tuple(a.sort_key() for a in cand)
         if best is None or key < best[0]:
             best = (key, cand)
@@ -368,11 +322,14 @@ def _parse_atom(sc: _Scanner) -> Atom:
     name = sc.ident()
     if name[0].isupper():
         raise sc.error(f"predicate names must start lowercase: {name!r}")
-    args: list[Term] = []
+    args: list[str] = []
     if sc.try_consume("("):
         if not sc.try_consume(")"):
             while True:
-                args.append(term(sc.ident()))
+                arg = sc.ident()
+                if arg[0] == "_":
+                    raise sc.error(f"terms must not start with '_': {arg!r}")
+                args.append(arg)
                 if sc.try_consume(")"):
                     break
                 sc.expect(",")

@@ -13,7 +13,7 @@ import random
 
 from lexicost.cost import CostSpec, evaluate
 from lexicost.evaluator import Confusion
-from lexicost.kb import VAR, Atom, Bias, Program, Rule, Task, Term, variable_name
+from lexicost.kb import Atom, Bias, Program, Rule, Task, is_var, variable_name
 
 # ---------------------------------------------------------------------------
 # Naive least model
@@ -23,7 +23,7 @@ from lexicost.kb import VAR, Atom, Bias, Program, Rule, Task, Term, variable_nam
 def _substitutions(rule: Rule, model: set[Atom]):
     """All substitutions grounding the body inside the model, by brute search."""
 
-    def extend(body: list[Atom], sub: dict[str, Term]):
+    def extend(body: list[Atom], sub: dict[str, str]):
         if not body:
             yield sub
             return
@@ -34,11 +34,11 @@ def _substitutions(rule: Rule, model: set[Atom]):
             new = dict(sub)
             ok = True
             for t, ft in zip(first.args, fact.args):
-                if t.is_var:
-                    if t.name in new and new[t.name] != ft:
+                if is_var(t):
+                    if t in new and new[t] != ft:
                         ok = False
                         break
-                    new[t.name] = ft
+                    new[t] = ft
                 elif t != ft:
                     ok = False
                     break
@@ -89,7 +89,7 @@ def brute_subsumes(r1: Rule, r2: Rule) -> bool:
     vars1 = sorted(r1.variables())
     terms2 = sorted(
         {t for a in (r2.head, *r2.body) for t in a.args},
-        key=lambda t: (t.kind, t.name),
+        key=lambda t: (is_var(t), t),
     )
     body2 = set(r2.body)
     for image in itertools.product(terms2, repeat=len(vars1)):
@@ -107,7 +107,7 @@ def brute_canonical(head: Atom, body: tuple[Atom, ...]) -> tuple:
     names = [variable_name(i) for i in range(len(all_vars))]
     best = None
     for perm in itertools.permutations(names):
-        sub = {v: Term(VAR, n) for v, n in zip(all_vars, perm)}
+        sub = dict(zip(all_vars, perm))
         h = head.substitute(sub)
         b = tuple(sorted((a.substitute(sub) for a in set(body)), key=Atom.sort_key))
         key = (h.sort_key(), tuple(a.sort_key() for a in b))
@@ -131,7 +131,7 @@ def enumerate_safe_rules(bias: Bias) -> list[Rule]:
         set(bias.body_preds)
         | (set(bias.head_preds) if bias.enable_recursion else set())
     )
-    variables = [Term(VAR, variable_name(i)) for i in range(bias.max_vars)]
+    variables = [variable_name(i) for i in range(bias.max_vars)]
     literals = [
         Atom(pred, args)
         for pred, arity in preds
@@ -303,14 +303,14 @@ def random_facts(rng: random.Random, preds, constants, n_facts) -> frozenset[Ato
     facts = set()
     for _ in range(n_facts):
         pred, arity = rng.choice(preds)
-        args = tuple(Term("const", rng.choice(constants)) for _ in range(arity))
+        args = tuple(rng.choice(constants) for _ in range(arity))
         facts.add(Atom(pred, args))
     return frozenset(facts)
 
 
 def random_rule(rng: random.Random, head_pred, body_preds, max_vars, max_body) -> Rule:
     hp, ha = head_pred
-    variables = [Term(VAR, variable_name(i)) for i in range(max_vars)]
+    variables = [variable_name(i) for i in range(max_vars)]
     head = Atom(hp, tuple(variables[:ha]))
     while True:
         body = []

@@ -112,7 +112,7 @@ def _random_oracle_task(rng: random.Random, shape: int):
     pos = [(hp, *args) for args, lab in zip(candidates, labels) if lab]
     neg = [(hp, *args) for args, lab in zip(candidates, labels) if not lab]
     return make_task(
-        bk=[(a.predicate, *(t.name for t in a.args)) for a in facts],
+        bk=[(a.predicate, *a.args) for a in facts],
         pos=pos,
         neg=neg,
         head_preds={head},

@@ -68,8 +68,7 @@ class TestLearnCommand:
         assert code == EXIT_OK
         stats = json.loads(capsys.readouterr().out)["stats"]
         assert sorted(stats) == [
-            "combine_calls", "combine_resolves", "combine_skipped", "generated",
-            "promising", "stop"
+            "combine_resolves", "combine_skipped", "generated", "promising", "stop"
         ]
         assert stats["stop"] == stop
 
@@ -143,6 +142,20 @@ class TestLearnCommand:
             "--cost", "error",
         ])
         assert code == EXIT_INPUT
+
+    def test_underscore_led_term_exit_2(self, trains_dir, capsys):
+        (trains_dir / "bad.datalog").write_text("closed(c1).\np(_x).\n")
+        code = main([
+            "learn",
+            "--bk", str(trains_dir / "bad.datalog"),
+            "--exs", str(trains_dir / "exs.datalog"),
+            "--bias", str(trains_dir / "bias.txt"),
+            "--cost", "error",
+        ])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2, ") and "'_x'" in captured.err
 
     def test_resource_limit_exit_3(self, trains_dir, monkeypatch, capsys):
         from lexicost import cli
@@ -451,6 +464,28 @@ class TestBench:
         assert ("broken", "io_error") in statuses
         assert ("trains", "ok") in statuses
 
+    def test_underscore_led_term_records_parse_error(self, tmp_path):
+        root = tmp_path / "two"
+        write_task_dir(root, "trains", "t1", TRAINS_BK, TRAINS_EXS, TRAINS_BIAS)
+        write_task_dir(root, "props", "t1", SECOND_BK + "p(_x).\n", SECOND_EXS,
+                       SECOND_BIAS)
+        rows = read_results_csv(run_bench(SuiteConfig(
+            root_dir=root, cost_fns=("error", "mdl"), repeats=1, timing=False,
+        )))
+        assert sorted((r.domain, r.cost_fn, r.status) for r in rows) == [
+            ("props", "error", "parse_error"), ("props", "mdl", "parse_error"),
+            ("trains", "error", "ok"), ("trains", "mdl", "ok"),
+        ]
+
+    def test_out_in_missing_directory_exit_2(self, suite_root, tmp_path, capsys):
+        code = main(["bench", "--root", str(suite_root / "trains"),
+                     "--costs", "error", "--repeats", "1",
+                     "--out", str(tmp_path / "no-such-dir" / "r.csv")])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "no-such-dir" in captured.err
+
     def test_crash_in_one_job_does_not_abort_suite(self, suite_root,
                                                    monkeypatch):
         from lexicost import cli
@@ -593,6 +628,19 @@ class TestAnalyzeCommand:
         assert (agg_dir / "rank_table.csv").exists()
         assert (agg_dir / "pearson_accuracy.csv").exists()
         assert (agg_dir / "overall_means.csv").exists()
+
+    def test_out_dir_under_a_regular_file_exit_2(self, suite_root, tmp_path,
+                                                 capsys):
+        out = tmp_path / "results.csv"
+        main(["bench", "--root", str(suite_root / "trains"), "--out", str(out),
+              "--repeats", "1", "--costs", "error,mdl", "--no-timing"])
+        (tmp_path / "plain").write_text("")
+        capsys.readouterr()
+        code = main(["analyze", str(out), "--out-dir", str(tmp_path / "plain" / "agg")])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "plain" in captured.err
 
     def test_empty_csv_schema_error(self, tmp_path):
         f = tmp_path / "empty.csv"

@@ -140,7 +140,6 @@ class TestLoopBehaviour:
         assert res.final_problem is not None
         assert res.final_problem.n_pos == 2
         assert len(res.final_problem.entries) == res.stats.promising
-        assert res.stats.combine_calls == res.stats.promising
         assert res.final_problem.max_rules == trains_task.bias.max_clauses
 
     def test_final_problem_is_the_last_one_solved(self, trains_task, path_task_full,

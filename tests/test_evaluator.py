@@ -248,9 +248,9 @@ def _tasks_and_programs(draw):
 
 def _task(facts, pos, neg):
     return make_task(
-        bk=[(a.predicate, *(t.name for t in a.args)) for a in facts],
-        pos=[(a.predicate, *(t.name for t in a.args)) for a in pos],
-        neg=[(a.predicate, *(t.name for t in a.args)) for a in neg],
+        bk=[(a.predicate, *a.args) for a in facts],
+        pos=[(a.predicate, *a.args) for a in pos],
+        neg=[(a.predicate, *a.args) for a in neg],
         head_preds=set(_HEADS), body_preds=set(_BODY), enable_recursion=True,
     )
 

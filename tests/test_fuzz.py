@@ -41,7 +41,7 @@ def _planted_task(rng: random.Random):
     hidden = random_program(rng, head, body, bias_kw["max_vars"],
                             bias_kw["max_body"], rng.randint(1, 2))
     probe = make_task(
-        bk=[(a.predicate, *(t.name for t in a.args)) for a in facts],
+        bk=[(a.predicate, *a.args) for a in facts],
         pos=[(hp, *([constants[0]] * ha))],
         neg=[],
         head_preds={head},
@@ -66,7 +66,7 @@ def _planted_task(rng: random.Random):
     pos = [(hp, *args) for args, lab in sorted(labels.items()) if lab]
     neg = [(hp, *args) for args, lab in sorted(labels.items()) if not lab]
     return make_task(
-        bk=[(a.predicate, *(t.name for t in a.args)) for a in facts],
+        bk=[(a.predicate, *a.args) for a in facts],
         pos=pos,
         neg=neg,
         head_preds={head},

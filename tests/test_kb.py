@@ -11,11 +11,15 @@ from lexicost.errors import (
     UnknownPredicateError,
 )
 from lexicost.kb import (
+    Atom,
     Bias,
     Program,
     Rule,
     atom,
+    is_var,
     parse_bias,
+    parse_examples,
+    parse_facts,
     parse_program,
     parse_rule,
     parse_task,
@@ -83,6 +87,38 @@ class TestParseTask:
 
     def test_recursion_flag_default_off(self):
         assert not parse_bias("head_pred(f,1).").enable_recursion
+
+    @pytest.mark.parametrize("parse, text, name", [
+        (parse_facts, "p(_x).", "_x"),
+        (parse_examples, "pos(f(_a)).", "_a"),
+        (parse_rule, "f(X):- p(X,_y).", "_y"),
+    ])
+    def test_underscore_led_term_is_a_parse_error(self, parse, text, name):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert repr(name) in str(err.value)
+
+
+class TestTerms:
+    def test_first_character_decides_the_kind(self):
+        assert all(is_var(n) for n in ("A", "X", "V26", "Foo_1"))
+        assert not any(is_var(n) for n in ("a", "x1", "0", "12b", "v26"))
+
+    def test_constants_sort_before_variables_then_by_name(self):
+        names = ["Z", "a", "V26", "1", "B", "A"]
+        atoms = sorted((atom("p", n) for n in names), key=Atom.sort_key)
+        assert [a.args[0] for a in atoms] == ["1", "a", "A", "B", "V26", "Z"]
+
+    def test_rule_body_order_puts_constants_first(self):
+        r = parse_rule("f(X):- g(X,Y),g(X,a),g(X,1),g(X,V26).")
+        assert str(r) == "f(A):- g(A,1),g(A,a),g(A,B),g(A,C)."
+
+    def test_variables_past_z_are_named_v26_on(self):
+        head = ",".join(f"X{i}" for i in range(28))
+        r = parse_rule(f"f({head}):- g(X27,X0,1).")
+        assert r.head.args[25:] == ("Z", "V26", "V27")
+        assert str(r.body[0]) == "g(V27,A,1)"
+        assert parse_rule(str(r)) == r
 
 
 class TestProgramSize:

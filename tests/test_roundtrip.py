@@ -1,0 +1,114 @@
+"""Property tests: random tasks and programs, rendered to text, parse back equal.
+
+A term is its name, so the tests draw digit-led and lowercase-led constants
+and uppercase-led variables (up to `V26`-style canonical names), which pins
+`is_var` and the constants-before-variables order that rule ids rest on.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from lexicost.kb import (
+    Atom,
+    Bias,
+    Program,
+    Rule,
+    Task,
+    parse_program,
+    parse_task,
+    render_program,
+)
+
+LOWER = "abcdefghijklmnopqrstuvwxyz"
+UPPER = LOWER.upper()
+DIGITS = "0123456789"
+
+
+def _names(first: str, rest: str) -> st.SearchStrategy[str]:
+    return st.builds(str.__add__, st.sampled_from(first), st.text(rest, max_size=3))
+
+
+PRED = _names(LOWER, LOWER + DIGITS + "_")
+CONST = _names(LOWER + DIGITS, LOWER + UPPER + DIGITS + "_")
+VAR = _names(UPPER, LOWER + UPPER + DIGITS + "_")
+
+
+def _atoms(preds: list[str], arity: dict[str, int], term) -> st.SearchStrategy[Atom]:
+    return st.sampled_from(preds).flatmap(
+        lambda p: st.lists(term, min_size=arity[p], max_size=arity[p]).map(
+            lambda args: Atom(p, tuple(args))
+        )
+    )
+
+
+@st.composite
+def tasks(draw) -> tuple[Task, list[tuple[Atom, bool]]]:
+    """A task, and its labelled examples in file order (labels interleave)."""
+    names = draw(st.lists(PRED, min_size=2, max_size=6, unique=True))
+    arity = {n: draw(st.integers(0, 3)) for n in names}
+    n_head = draw(st.integers(1, len(names) - 1))
+    head, body = names[:n_head], names[n_head:]
+    facts = draw(st.lists(_atoms(body, arity, CONST), max_size=8))
+    examples = draw(st.lists(_atoms(head, arity, CONST), min_size=1, max_size=8,
+                             unique=True))
+    labels = draw(st.lists(st.booleans(), min_size=len(examples),
+                           max_size=len(examples)))
+    labels[0] = True
+    bias = Bias(
+        head_preds=frozenset((n, arity[n]) for n in head),
+        body_preds=frozenset((n, arity[n]) for n in body),
+        max_vars=draw(st.integers(1, 6)),
+        max_body=draw(st.integers(1, 6)),
+        max_clauses=draw(st.integers(1, 4)),
+        enable_recursion=draw(st.booleans()),
+    )
+    return Task(
+        bk_facts=frozenset(facts),
+        pos=tuple(a for a, lab in zip(examples, labels) if lab),
+        neg=tuple(a for a, lab in zip(examples, labels) if not lab),
+        bias=bias,
+    ), list(zip(examples, labels))
+
+
+def render_bias(b: Bias) -> str:
+    lines = [f"head_pred({p},{n})." for p, n in sorted(b.head_preds)]
+    lines += [f"body_pred({p},{n})." for p, n in sorted(b.body_preds)]
+    lines += [f"max_vars({b.max_vars}).", f"max_body({b.max_body}).",
+              f"max_clauses({b.max_clauses})."]
+    if b.enable_recursion:
+        lines.append("enable_recursion.")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(tasks())
+def test_rendered_task_parses_back_equal(drawn):
+    task, labelled = drawn
+    bk = "".join(f"{a}.\n" for a in task.bk_facts)
+    exs = "".join(f"{'pos' if lab else 'neg'}({a}).\n" for a, lab in labelled)
+    assert parse_task(bk, exs, render_bias(task.bias)) == task
+
+
+@st.composite
+def rules(draw) -> Rule:
+    # head variables are named by first occurrence, so many of them reach
+    # the `V26` names cheaply; body-only ones are few, since canonicalising
+    # searches their permutations
+    head_vars = draw(st.lists(VAR, max_size=30, unique=True))
+    body_vars = draw(st.lists(VAR.filter(lambda v: v not in head_vars),
+                              max_size=3, unique=True))
+    constants = draw(st.lists(CONST, max_size=3))
+    head_args = draw(st.permutations(head_vars + constants))
+    terms = st.sampled_from(head_vars + body_vars + constants + ["0"])
+    preds = ["g", "h", "k"]
+    arity = {"g": 1, "h": 2, "k": 3}
+    body = draw(st.lists(_atoms(preds, arity, terms), min_size=1, max_size=4))
+    return Rule(Atom("f", tuple(head_args)), body)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rules(), max_size=3))
+def test_rendered_program_parses_back_equal(rs):
+    p = Program(rs)
+    text = render_program(p)
+    assert parse_program(text) == p
+    assert render_program(parse_program(text)) == text
