@@ -8,13 +8,11 @@ decimals.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -145,6 +143,8 @@ class SuiteConfig:
     def __post_init__(self):
         if not self.root_dir.is_dir():
             raise LexicostError(f"bench root is not a directory: {self.root_dir}")
+        if not self.output.parent.is_dir():
+            raise LexicostError(f"bench output directory does not exist: {self.output.parent}")
         if self.repeats < 1:
             raise LexicostError("repeats must be >= 1")
         if self.split is not None and not (0.0 < self.split < 1.0):
@@ -169,6 +169,8 @@ def discover_tasks(root: Path) -> list[tuple[str, str, Path]]:
 
 
 def _split_seed(seed: int, domain: str, task: str, repeat: int) -> int:
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}:{domain}/{task}:{repeat}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -310,6 +312,8 @@ def run_bench(config: SuiteConfig) -> str:
     jobs = [(domain, task, d, config)
             for domain, task, d in discover_tasks(config.root_dir)]
     if config.workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(config.workers, len(jobs))) as pool:
             per_task = list(pool.map(_bench_task, jobs))
     else:

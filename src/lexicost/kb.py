@@ -24,9 +24,6 @@ from .errors import (
     UnknownPredicateError,
 )
 
-_IDENT = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_]*")
-
-
 def variable_name(index: int) -> str:
     """Canonical variable name for position `index`: A..Z, then V26, V27, ..."""
     if index < 26:
@@ -122,11 +119,6 @@ class Rule:
     @property
     def size(self) -> int:
         return 1 + len(self.body)
-
-    @property
-    def is_recursive(self) -> bool:
-        hp = (self.head.predicate, self.head.arity)
-        return any((a.predicate, a.arity) == hp for a in self.body)
 
     def variables(self) -> set[str]:
         vs = set(self.head.variables())
@@ -249,176 +241,146 @@ def validate_example(a: Atom, bias: Bias) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Parsing.  Three small grammars share one tokenizer: ground-fact files,
-# example files (pos/neg wrappers) and bias directive files.  Lines starting
-# with '%' are comments; whitespace is insignificant.
+# Parsing.  One tokenizer and one atom grammar read every file: background
+# facts and bias directives are lists of `name(args).` atoms, examples wrap
+# each atom in pos(...) or neg(...), and rules add `:- body`.  '%' starts a
+# comment that runs to the end of its line; whitespace is insignificant.
 # ---------------------------------------------------------------------------
 
+_NAME = re.compile(r"[A-Za-z0-9_]+")
+# a name, ':-', a comment (skipped) or one mark; whitespace lies between
+_TOKEN = re.compile(rf"{_NAME.pattern}|:-|%[^\n]*|\S")
 
-class _Scanner:
+
+class _Tokens:
+    """A lazy token stream: `tok` is the current token ('' past the end) and
+    `at` the offset where it starts."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+        self._matches = (m for m in _TOKEN.finditer(text) if m[0][0] != "%")
+        self._step()
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
+    def _step(self) -> None:
+        m = next(self._matches, None)
+        self.tok, self.at = (m[0], m.start()) if m else ("", len(self.text))
 
-    def _advance(self, n: int) -> None:
-        for ch in self.text[self.pos:self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at offset `at`, by default where the current token starts."""
+        at = self.at if at is None else at
+        line = self.text.count("\n", 0, at) + 1
+        return ParseError(message, line, at - self.text.rfind("\n", 0, at))
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "%":
-                end = self.text.find("\n", self.pos)
-                self._advance((end if end != -1 else len(self.text)) - self.pos)
-            elif ch.isspace():
-                self._advance(1)
-            else:
-                return
+    def take(self, mark: str) -> bool:
+        if self.tok != mark:
+            return False
+        self._step()
+        return True
 
-    @property
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def expect(self, mark: str) -> None:
+        if not self.take(mark):
+            raise self.error(f"expected {mark!r}, got {self.tok or 'end of input'!r}")
 
-    def expect(self, literal: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            raise self.error(f"expected {literal!r}")
-        self._advance(len(literal))
-
-    def try_consume(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self._advance(len(literal))
-            return True
-        return False
-
-    def ident(self) -> str:
-        self.skip_ws()
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected an identifier")
-        self._advance(m.end() - m.start())
-        return m.group(0)
-
-    def integer(self) -> int:
-        name = self.ident()
-        if not name.isdigit():
-            raise self.error(f"expected an integer, got {name!r}")
-        return int(name)
+    def name(self) -> str:
+        name = self.tok
+        if not _NAME.match(name):
+            raise self.error(f"expected a name, got {name or 'end of input'!r}")
+        self._step()
+        return name
 
 
-def _parse_atom(sc: _Scanner) -> Atom:
-    name = sc.ident()
+def _atom(ts: _Tokens) -> tuple[Atom, list[int]]:
+    """`name` or `name(t1,...,tn)`, with the offsets of the name and of each term."""
+    at = [ts.at]
+    name = ts.name()
     if name[0].isupper():
-        raise sc.error(f"predicate names must start lowercase: {name!r}")
+        raise ts.error(f"predicate names must start lowercase: {name!r}", at[0])
     args: list[str] = []
-    if sc.try_consume("("):
-        if not sc.try_consume(")"):
-            while True:
-                arg = sc.ident()
-                if arg[0] == "_":
-                    raise sc.error(f"terms must not start with '_': {arg!r}")
-                args.append(arg)
-                if sc.try_consume(")"):
-                    break
-                sc.expect(",")
-    return Atom(name, tuple(args))
+    if ts.take("(") and not ts.take(")"):
+        while True:
+            if ts.tok.startswith("_"):
+                raise ts.error(f"terms must not start with '_': {ts.tok!r}")
+            at.append(ts.at)
+            args.append(ts.name())
+            if ts.take(")"):
+                break
+            ts.expect(",")
+    return Atom(name, tuple(args)), at
 
 
-def _check_arity(seen: dict[str, int], a: Atom) -> None:
-    prev = seen.setdefault(a.predicate, a.arity)
-    if prev != a.arity:
-        raise ArityMismatchError(
-            f"predicate {a.predicate!r} used with arities {prev} and {a.arity}"
-        )
+def _ground_atoms(text: str, labelled: bool) -> Iterator[tuple[str, Atom]]:
+    """(label, atom) for each `atom.` of a facts file, or each `pos(atom).` or
+    `neg(atom).` of a labelled examples file.  Every atom must be ground and
+    keep one arity per predicate."""
+    ts = _Tokens(text)
+    arity: dict[str, int] = {}
+    label = ""
+    while ts.tok:
+        if labelled:
+            label = ts.tok
+            if not (ts.take("pos") or ts.take("neg")):
+                raise ts.error(f"expected pos(...) or neg(...), got {label!r}")
+            ts.expect("(")
+        a, at = _atom(ts)
+        if labelled:
+            ts.expect(")")
+        ts.expect(".")
+        if not a.is_ground:
+            what = "example" if labelled else "background fact"
+            raise ts.error(f"{what} must be ground: {a}", at[0])
+        prev = arity.setdefault(a.predicate, a.arity)
+        if prev != a.arity:
+            raise ArityMismatchError(
+                f"predicate {a.predicate!r} used with arities {prev} and {a.arity}"
+            )
+        yield label, a
 
 
 def parse_facts(text: str) -> frozenset[Atom]:
-    """Parse a background-knowledge file: one ground fact per line."""
-    sc = _Scanner(text)
-    seen: dict[str, int] = {}
-    facts = set()
-    while not sc.eof:
-        a = _parse_atom(sc)
-        sc.expect(".")
-        if not a.is_ground:
-            raise sc.error(f"background fact must be ground: {a}")
-        _check_arity(seen, a)
-        facts.add(a)
-    return frozenset(facts)
+    """Parse a background-knowledge file of ground `pred(c1,...,cn).` facts."""
+    return frozenset(a for _, a in _ground_atoms(text, False))
 
 
 def parse_examples(text: str) -> tuple[tuple[Atom, ...], tuple[Atom, ...]]:
     """Parse an examples file of pos(atom). / neg(atom). lines."""
-    sc = _Scanner(text)
-    seen: dict[str, int] = {}
     pos: list[Atom] = []
     neg: list[Atom] = []
-    while not sc.eof:
-        label = sc.ident()
-        if label not in ("pos", "neg"):
-            raise sc.error(f"expected pos(...) or neg(...), got {label!r}")
-        sc.expect("(")
-        a = _parse_atom(sc)
-        sc.expect(")")
-        sc.expect(".")
-        if not a.is_ground:
-            raise sc.error(f"example must be ground: {a}")
-        _check_arity(seen, a)
+    for label, a in _ground_atoms(text, True):
         (pos if label == "pos" else neg).append(a)
     return tuple(pos), tuple(neg)
 
 
-_BIAS_PRED_DIRECTIVES = ("head_pred", "body_pred")
-_BIAS_INT_DIRECTIVES = ("max_vars", "max_body", "max_clauses")
+# number of arguments of each bias directive; the last one is an integer
+_DIRECTIVE_ARITY = {"head_pred": 2, "body_pred": 2, "max_vars": 1, "max_body": 1,
+                    "max_clauses": 1, "enable_recursion": 0}
 
 
 def parse_bias(text: str) -> Bias:
-    """Parse a bias file of search-space directives."""
-    sc = _Scanner(text)
-    head_preds: set[tuple[str, int]] = set()
-    body_preds: set[tuple[str, int]] = set()
+    """Parse a bias file of search-space directives; `Bias` checks the values."""
+    ts = _Tokens(text)
+    preds: dict[str, set[tuple[str, int]]] = {"head_pred": set(), "body_pred": set()}
     ints = {"max_vars": 3, "max_body": 3, "max_clauses": 1}
     recursion = False
-    while not sc.eof:
-        name = sc.ident()
-        if name in _BIAS_PRED_DIRECTIVES:
-            sc.expect("(")
-            pred = sc.ident()
-            sc.expect(",")
-            arity = sc.integer()
-            sc.expect(")")
-            sc.expect(".")
-            (head_preds if name == "head_pred" else body_preds).add((pred, arity))
-        elif name in _BIAS_INT_DIRECTIVES:
-            sc.expect("(")
-            value = sc.integer()
-            sc.expect(")")
-            sc.expect(".")
-            if value < 1:
-                raise InvalidBiasValueError(f"{name} must be >= 1, got {value}")
-            ints[name] = value
-        elif name == "enable_recursion":
-            sc.expect(".")
-            recursion = True
+    while ts.tok:
+        if _NAME.match(ts.tok) and ts.tok not in _DIRECTIVE_ARITY:
+            raise UnknownBiasDirectiveError(f"unknown bias directive {ts.tok!r}")
+        a, at = _atom(ts)
+        name, args = a.predicate, a.args
+        ts.expect(".")
+        if len(args) != _DIRECTIVE_ARITY[name]:
+            raise ts.error(f"{name} takes {_DIRECTIVE_ARITY[name]} arguments, "
+                           f"got {len(args)}", at[0])
+        if args and not args[-1].isdigit():
+            raise ts.error(f"expected an integer, got {args[-1]!r}", at[-1])
+        if name in preds:
+            preds[name].add((args[0], int(args[1])))
+        elif name in ints:
+            ints[name] = int(args[0])
         else:
-            raise UnknownBiasDirectiveError(f"unknown bias directive {name!r}")
-    if not head_preds:
-        raise InvalidBiasValueError("bias declares no head_pred")
+            recursion = True
     return Bias(
-        head_preds=frozenset(head_preds),
-        body_preds=frozenset(body_preds),
+        head_preds=frozenset(preds["head_pred"]),
+        body_preds=frozenset(preds["body_pred"]),
         max_vars=ints["max_vars"],
         max_body=ints["max_body"],
         max_clauses=ints["max_clauses"],
@@ -431,36 +393,33 @@ def parse_task(bk_text: str, exs_text: str, bias_text: str) -> Task:
     bias = parse_bias(bias_text)
     facts = parse_facts(bk_text)
     pos, neg = parse_examples(exs_text)
-    if not pos:
-        raise NoPositiveExamplesError("examples file contains no pos(...) line")
     return Task(bk_facts=facts, pos=pos, neg=neg, bias=bias)
 
 
-def _parse_rule(sc: _Scanner) -> Rule:
-    head = _parse_atom(sc)
+def _rule(ts: _Tokens) -> Rule:
+    head = _atom(ts)[0]
     body: list[Atom] = []
-    if sc.try_consume(":-"):
-        while True:
-            body.append(_parse_atom(sc))
-            if not sc.try_consume(","):
-                break
-    sc.expect(".")
+    if ts.take(":-"):
+        body.append(_atom(ts)[0])
+        while ts.take(","):
+            body.append(_atom(ts)[0])
+    ts.expect(".")
     return Rule(head, body)
 
 
 def parse_rule(text: str) -> Rule:
     """Parse one rule of the canonical `head:- b1,b2.` form."""
-    sc = _Scanner(text)
-    rule = _parse_rule(sc)
-    if not sc.eof:
-        raise sc.error("trailing input after rule")
+    ts = _Tokens(text)
+    rule = _rule(ts)
+    if ts.tok:
+        raise ts.error("trailing input after rule")
     return rule
 
 
 def parse_program(text: str) -> Program:
     """Parse a newline-separated list of rules; inverse of render_program."""
-    sc = _Scanner(text)
+    ts = _Tokens(text)
     rules = []
-    while not sc.eof:
-        rules.append(_parse_rule(sc))
+    while ts.tok:
+        rules.append(_rule(ts))
     return Program(rules)

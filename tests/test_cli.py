@@ -155,7 +155,7 @@ class TestLearnCommand:
         assert code == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: line 2, ") and "'_x'" in captured.err
+        assert captured.err.startswith("error: line 2, col 3: ") and "'_x'" in captured.err
 
     def test_resource_limit_exit_3(self, trains_dir, monkeypatch, capsys):
         from lexicost import cli
@@ -477,7 +477,14 @@ class TestBench:
             ("trains", "error", "ok"), ("trains", "mdl", "ok"),
         ]
 
-    def test_out_in_missing_directory_exit_2(self, suite_root, tmp_path, capsys):
+    def test_out_in_missing_directory_exit_2(self, suite_root, tmp_path, capsys,
+                                             monkeypatch):
+        from lexicost import cli
+
+        def run_bench(config):
+            raise AssertionError("the suite ran before the output was checked")
+
+        monkeypatch.setattr(cli, "run_bench", run_bench)
         code = main(["bench", "--root", str(suite_root / "trains"),
                      "--costs", "error", "--repeats", "1",
                      "--out", str(tmp_path / "no-such-dir" / "r.csv")])
@@ -629,6 +636,15 @@ class TestAnalyzeCommand:
         assert (agg_dir / "pearson_accuracy.csv").exists()
         assert (agg_dir / "overall_means.csv").exists()
 
+    def test_demo_results_match_golden_csvs(self, tmp_path):
+        golden = DATA / "demo_analysis"
+        code = main(["analyze", str(DATA / "demo_results.csv"), "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        names = sorted(p.name for p in golden.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == names and len(names) == 5
+        for name in names:
+            assert (tmp_path / name).read_text() == (golden / name).read_text(), name
+
     def test_out_dir_under_a_regular_file_exit_2(self, suite_root, tmp_path,
                                                  capsys):
         out = tmp_path / "results.csv"
@@ -660,3 +676,16 @@ class TestAnalyzeCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["domains"] == ["trains"]
         assert report["rank_table"]["error"][0] >= 0
+
+
+def test_import_loads_neither_worker_pool_nor_hashing():
+    # only `bench --workers N` and `bench --split` need them, and import them
+    # where they are used
+    import subprocess
+    import sys
+
+    probe = ("import sys, lexicost.cli; "
+             "print([m for m in ('concurrent.futures', 'hashlib') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"

@@ -1,18 +1,26 @@
-"""Property tests: random tasks and programs, rendered to text, parse back equal.
+"""Property tests: random tasks and programs, rendered to text, parse back
+equal; with one bad token injected, they fail where that token starts.
 
 A term is its name, so the tests draw digit-led and lowercase-led constants
 and uppercase-led variables (up to `V26`-style canonical names), which pins
 `is_var` and the constants-before-variables order that rule ids rest on.
 """
 
+import re
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexicost.errors import ParseError
 from lexicost.kb import (
     Atom,
     Bias,
     Program,
     Rule,
     Task,
+    parse_bias,
+    parse_examples,
+    parse_facts,
     parse_program,
     parse_task,
     render_program,
@@ -83,9 +91,13 @@ def render_bias(b: Bias) -> str:
 @given(tasks())
 def test_rendered_task_parses_back_equal(drawn):
     task, labelled = drawn
+    assert parse_task(*render_task(task, labelled)) == task
+
+
+def render_task(task: Task, labelled: list[tuple[Atom, bool]]) -> tuple[str, str, str]:
     bk = "".join(f"{a}.\n" for a in task.bk_facts)
     exs = "".join(f"{'pos' if lab else 'neg'}({a}).\n" for a, lab in labelled)
-    assert parse_task(bk, exs, render_bias(task.bias)) == task
+    return bk, exs, render_bias(task.bias)
 
 
 @st.composite
@@ -112,3 +124,58 @@ def test_rendered_program_parses_back_equal(rs):
     text = render_program(p)
     assert parse_program(text) == p
     assert render_program(parse_program(text)) == text
+
+
+# Rendered texts hold no whitespace but newlines and the space after ':-'.
+_TOKEN = re.compile(r"[A-Za-z0-9_]+|:-|\S")
+
+
+def _injections(text: str, term_depth: int, kinds: set[str]):
+    """(kind, bad text, offset where its faulty token starts) for one bad
+    token put at each place of a valid rendered text.  Terms sit at paren
+    depth `term_depth`; an atom's predicate one level above."""
+    tokens, depth = [], 0
+    for m in _TOKEN.finditer(text):
+        depth -= m[0] == ")"
+        tokens.append((m[0], m.start(), depth))
+        depth += m[0] == "("
+    for i, (tok, at, d) in enumerate(tokens):
+        end = at + len(tok)
+        after = tokens[i + 1][1] - len(tok) if i + 1 < len(tokens) else len(text) - len(tok)
+        is_name = tok[0].isalnum()
+        if is_name and d == term_depth:
+            if "term" in kinds:
+                yield "term", text[:at] + "_x" + text[end:], at
+            if "integer" in kinds and tokens[i + 1][0] == ")":
+                yield "integer", text[:at] + "x" + text[end:], at
+            if "ground" in kinds:
+                atom_at = max(a for t, a, dd in tokens[:i] if dd == d - 1 and t[0].isalnum())
+                yield "ground", text[:at] + "X" + text[end:], atom_at
+        if is_name and d == term_depth - 1 and "predicate" in kinds:
+            yield "predicate", text[:at] + "Q" + text[end:], at
+        if tok == "." or (tok == ")" and tokens[i + 1][0] == "."):
+            yield f"missing {tok}", text[:at] + text[end:], after
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    before = text[:offset].split("\n")
+    return len(before), len(before[-1]) + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(tasks(), st.lists(rules(), min_size=1, max_size=3))
+def test_parse_error_points_at_the_injected_token(drawn, rs):
+    bk, exs, bias = render_task(*drawn)
+    common = {"term", "missing .", "missing )"}
+    files = [
+        (parse_facts, bk, 1, common | {"predicate", "ground"}),
+        (parse_examples, exs, 2, common | {"predicate", "ground"}),
+        (parse_bias, bias, 1, common | {"integer"}),
+        (parse_program, render_program(Program(rs)), 1, common | {"predicate"}),
+    ]
+    for parse, text, term_depth, kinds in files:
+        for kind, bad, offset in _injections(text, term_depth, kinds):
+            with pytest.raises(ParseError) as caught:
+                parse(bad)
+            got = (caught.value.line, caught.value.col)
+            assert got == _position(bad, offset), (parse.__name__, kind, bad)
