@@ -12,8 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import Field, dataclass, field, fields
+from typing import Iterable, Mapping, Sequence, get_type_hints
 
 from .errors import (
     DegenerateInputError,
@@ -242,26 +242,14 @@ def rank_table(
 # Results CSV schema and the analyze pipeline
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "domain",
-    "task",
-    "repeat",
-    "cost_fn",
-    "tp",
-    "fp",
-    "tn",
-    "fn",
-    "size",
-    "cost_vector",
-    "runtime_ms",
-    "status",
-)
-
 STATUS_OK = "ok"
 
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One row of the results CSV: its fields, in order, are the columns, and
+    each value is read back by its field's type."""
+
     domain: str
     task: str
     repeat: int
@@ -272,8 +260,20 @@ class ResultRow:
     fn: int = 0
     size: int = 0
     cost_vector: str = ""
-    runtime_ms: int = 0
+    # the one column that may be left blank; it then reads as 0
+    runtime_ms: int = field(default=0, metadata={"blank_ok": True})
     status: str = STATUS_OK
+
+
+_FIELDS = fields(ResultRow)
+_COLUMN_TYPES = get_type_hints(ResultRow)
+CSV_COLUMNS = tuple(f.name for f in _FIELDS)
+
+
+def _cell(f: Field, text: str):
+    if not text and f.metadata.get("blank_ok"):
+        return f.default
+    return _COLUMN_TYPES[f.name](text)
 
 
 def write_results_csv(rows: Iterable[ResultRow]) -> str:
@@ -303,22 +303,7 @@ def read_results_csv(text: str) -> list[ResultRow]:
         if len(values) != len(CSV_COLUMNS):
             raise SchemaError(f"row {line_no} has {len(values)} fields")
         try:
-            rows.append(
-                ResultRow(
-                    domain=values[0],
-                    task=values[1],
-                    repeat=int(values[2]),
-                    cost_fn=values[3],
-                    tp=int(values[4]),
-                    fp=int(values[5]),
-                    tn=int(values[6]),
-                    fn=int(values[7]),
-                    size=int(values[8]),
-                    cost_vector=values[9],
-                    runtime_ms=int(values[10] or 0),
-                    status=values[11],
-                )
-            )
+            rows.append(ResultRow(*map(_cell, _FIELDS, values)))
         except ValueError as exc:
             raise SchemaError(f"row {line_no}: {exc}") from None
     if not rows:
@@ -329,15 +314,11 @@ def read_results_csv(text: str) -> list[ResultRow]:
 def _task_report(rows: list[ResultRow]) -> MetricReport:
     """Repeat-averaged metrics for one (domain, task, cost_fn) group."""
     reports = [
-        metrics(Confusion(tp=r.tp, fp=r.fp, tn=r.tn, fn=r.fn)) for r in rows
+        metrics(Confusion(*(getattr(r, f.name) for f in fields(Confusion)))) for r in rows
     ]
-    flags = frozenset().union(*(r.flags for r in reports))
     return MetricReport(
-        accuracy=_mean([r.accuracy for r in reports]),
-        balanced_accuracy=_mean([r.balanced_accuracy for r in reports]),
-        precision=_mean([r.precision for r in reports]),
-        recall=_mean([r.recall for r in reports]),
-        flags=flags,
+        **{m: _mean([r.value(m) for r in reports]) for m in METRIC_NAMES},
+        flags=frozenset().union(*(r.flags for r in reports)),
     )
 
 

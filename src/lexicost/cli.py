@@ -8,16 +8,23 @@ decimals.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import analytics
-from .analytics import ResultRow, STATUS_OK, analyze_results, read_results_csv, write_results_csv
+from .analytics import (
+    METRIC_NAMES,
+    ResultRow,
+    analyze_results,
+    read_results_csv,
+    write_results_csv,
+)
 from .combiner import dump_problem
 from .cost import parse_cost_spec
 from .engine import LearnOptions, LearnResult, evaluate_on_test, learn
@@ -45,36 +52,16 @@ def _round4(x: float) -> float:
 
 def _metric_json(conf: Confusion) -> dict:
     rep = analytics.metrics(conf)
-    return {
-        "accuracy": _round4(rep.accuracy),
-        "balanced_accuracy": _round4(rep.balanced_accuracy),
-        "precision": _round4(rep.precision),
-        "recall": _round4(rep.recall),
-        "flags": sorted(rep.flags),
-        "tp": conf.tp,
-        "fp": conf.fp,
-        "tn": conf.tn,
-        "fn": conf.fn,
-    }
+    return {**{m: _round4(rep.value(m)) for m in METRIC_NAMES},
+            "flags": sorted(rep.flags), **asdict(conf)}
 
 
 def _result_json(result: LearnResult, test_conf: Confusion | None) -> dict:
     out = {
         "hypothesis": [str(r) for r in result.best.rules],
         "cost": list(result.cost),
-        "train": {
-            "tp": result.train_conf.tp,
-            "fp": result.train_conf.fp,
-            "tn": result.train_conf.tn,
-            "fn": result.train_conf.fn,
-        },
-        "stats": {
-            "generated": result.stats.generated,
-            "promising": result.stats.promising,
-            "combine_skipped": result.stats.combine_skipped,
-            "combine_resolves": result.stats.combine_resolves,
-            "stop": result.stats.stop,
-        },
+        "train": asdict(result.train_conf),
+        "stats": asdict(result.stats),
         "proof": result.proof,
     }
     if test_conf is not None:
@@ -113,8 +100,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         hyp = render_program(result.best) or "<empty hypothesis>"
         print(hyp)
         print(f"cost: {list(result.cost)}  proof: {result.proof}")
-        tc = result.train_conf
-        print(f"train: tp={tc.tp} fp={tc.fp} tn={tc.tn} fn={tc.fn}")
+        print("train:", " ".join(f"{k}={v}" for k, v in payload["train"].items()))
         if test_conf is not None:
             rep = payload["test"]
             print(
@@ -199,6 +185,14 @@ def stratified_split(
     return train_pos, train_neg, test_pos, test_neg
 
 
+def _split_run(task: Task, fraction: float, seed: int) -> tuple[Task, tuple, tuple]:
+    """(training task, held-out positives, held-out negatives) of one split."""
+    train_pos, train_neg, test_pos, test_neg = stratified_split(
+        task.pos, task.neg, fraction, random.Random(seed)
+    )
+    return with_examples(task, train_pos, train_neg), test_pos, test_neg
+
+
 # statuses of failed rows, most specific first; the suite carries on
 _FAILURES = (
     (OSError, "io_error"),
@@ -216,10 +210,11 @@ def _status(exc: BaseException) -> str:
     return next(status for kind, status in _FAILURES if isinstance(exc, kind))
 
 
-def _learned(task: Task, cost_fn: str, test_pos: tuple[Atom, ...],
-             test_neg: tuple[Atom, ...], timing: bool) -> dict:
-    """The result columns of one row: `learn` on the task, timed alone."""
-    spec = parse_cost_spec(cost_fn)
+def _learned(row: ResultRow, task: Task, test_pos: tuple[Atom, ...],
+             test_neg: tuple[Atom, ...], timing: bool) -> ResultRow:
+    """`row` filled in by `learn` on the task under its cost function, timed
+    alone."""
+    spec = parse_cost_spec(row.cost_fn)
     started = time.perf_counter()
     result = learn(task, LearnOptions(spec=spec))
     elapsed_ms = int((time.perf_counter() - started) * 1000)
@@ -227,38 +222,28 @@ def _learned(task: Task, cost_fn: str, test_pos: tuple[Atom, ...],
         conf = evaluate_on_test(result, task, test_pos, test_neg)
     else:
         conf = result.train_conf
-    return dict(
-        tp=conf.tp,
-        fp=conf.fp,
-        tn=conf.tn,
-        fn=conf.fn,
+    return replace(
+        row,
+        **asdict(conf),
         size=result.best.size,
         cost_vector="[" + ",".join(str(v) for v in result.cost) + "]",
         runtime_ms=elapsed_ms if timing else 0,
-        status=STATUS_OK,
     )
 
 
 def _bench_task(job: tuple[str, str, Path, SuiteConfig]) -> list[ResultRow]:
     """Every (repeat, cost function) row of one task directory.
 
-    The files are read and parsed once, and each split's `Task` once.  The
-    fact store and the bias's rules are built once, before the first
-    `learn`, and every split's `Task` shares them.  `runtime_ms` times the
-    row's `learn` call, which lists the candidates of each size that no
-    earlier row of the task reached (see `generator.candidate_ids`), so the
-    first row pays for most of the listing.
+    The files are read and parsed once, into one `Task` over all of the
+    directory's examples, so a task that `Task` rejects fails every row, with
+    or without a split.  The fact store and the bias's rules are built once,
+    before the first `learn`, and every split's `Task` shares them.
+    `runtime_ms` times the row's `learn` call, which lists the candidates of
+    each size that no earlier row of the task reached (see
+    `generator.candidate_ids`), so the first row pays for most of the listing.
     """
     domain, name, d, config = job
     repeats = range(1, config.repeats + 1)
-
-    def row(cost_fn: str, repeat: int, **fields) -> ResultRow:
-        return ResultRow(domain=domain, task=name, repeat=repeat, cost_fn=cost_fn,
-                         **fields)
-
-    def failed(exc: BaseException, repeats) -> list[ResultRow]:
-        return [row(c, r, status=_status(exc)) for r in repeats for c in config.cost_fns]
-
     try:
         bk_text = (d / "bk.datalog").read_text()
         exs_text = (d / "exs.datalog").read_text()
@@ -268,39 +253,30 @@ def _bench_task(job: tuple[str, str, Path, SuiteConfig]) -> list[ResultRow]:
         pos, neg = parse_examples(exs_text)
         bias = parse_bias(bias_text)
         facts = parse_facts(bk_text)
-        test_pos: tuple[Atom, ...] = ()
-        test_neg: tuple[Atom, ...] = ()
+        held_out = ((), ())
         if config.split is None and test_text is not None:
-            test_pos, test_neg = parse_examples(test_text)
+            held_out = parse_examples(test_text)
+        # validated once, over every example, before any split
+        task = Task(bk_facts=facts, pos=pos, neg=neg, bias=bias)
+        fact_store(task)
+        rule_table(bias, bias.max_program_size)
+        if config.split is None:
+            runs = [(task, *held_out)] * config.repeats
+        else:
+            runs = [_split_run(task, config.split, _split_seed(config.seed, domain, name, r))
+                    for r in repeats]
     except _CAUGHT as exc:
-        return failed(exc, repeats)
+        return [ResultRow(domain, name, r, c, status=_status(exc))
+                for r in repeats for c in config.cost_fns]
 
     rows: list[ResultRow] = []
-    task = None
-    for repeat in repeats:
-        try:
-            if config.split is not None:
-                rng = random.Random(_split_seed(config.seed, domain, name, repeat))
-                train_pos, train_neg, test_pos, test_neg = stratified_split(
-                    pos, neg, config.split, rng
-                )
-                if task is None:
-                    task = Task(bk_facts=facts, pos=train_pos, neg=train_neg, bias=bias)
-                else:
-                    task = with_examples(task, train_pos, train_neg)
-            elif task is None:
-                task = Task(bk_facts=facts, pos=pos, neg=neg, bias=bias)
-            fact_store(task)
-            rule_table(bias, bias.max_program_size)
-        except _CAUGHT as exc:
-            rows += failed(exc, [repeat])
-            continue
+    for repeat, run in zip(repeats, runs):
         for cost_fn in config.cost_fns:
+            row = ResultRow(domain, name, repeat, cost_fn)
             try:
-                fields = _learned(task, cost_fn, test_pos, test_neg, config.timing)
+                rows.append(_learned(row, *run, config.timing))
             except _CAUGHT as exc:
-                fields = dict(status=_status(exc))
-            rows.append(row(cost_fn, repeat, **fields))
+                rows.append(replace(row, status=_status(exc)))
     return rows
 
 
@@ -357,53 +333,42 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _analysis_tables(report: dict) -> list[tuple[str, list, list, int]]:
+    """(file name, header, rows, decimals of each float) of every aggregate
+    CSV that `analyze --out-dir` writes."""
+    fns = report["cost_fns"]
+    stats = ("mean", "stderr")
+    per_domain = [
+        [fn, domain, agg["n_tasks"], *(agg[s][m] for s in stats for m in METRIC_NAMES)]
+        for fn in fns for domain, agg in sorted(report["per_domain"][fn].items())
+    ]
+    return [
+        ("overall_means.csv", ["cost_fn", "accuracy_mean"],
+         [[fn, report["overall_accuracy_mean"][fn]] for fn in fns], 4),
+        ("rank_table.csv", ["cost_fn", "rank1", "rank2", "rank3"],
+         [[fn, *report["rank_table"][fn]] for fn in fns], 4),
+        ("pearson_accuracy.csv", ["cost_fn", *fns],
+         [[f1, *(report["pearson_accuracy"][f1][f2] for f2 in fns)] for f1 in fns], 4),
+        ("wilcoxon_p.csv", ["pair", "p_value"],
+         sorted(report["wilcoxon_accuracy_p"].items()), 6),
+        ("per_domain.csv", ["cost_fn", "domain", "n_tasks",
+                            *(f"{m}_{s}" for s in stats for m in METRIC_NAMES)],
+         per_domain, 4),
+    ]
+
+
 def _write_analysis_csvs(report: dict, out_dir: Path) -> None:
-    import csv as _csv
+    def cell(v, decimals: int):
+        if isinstance(v, float):
+            return f"{v:.{decimals}f}"
+        return "" if v is None else v
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    fns = report["cost_fns"]
-
-    with open(out_dir / "overall_means.csv", "w", newline="") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["cost_fn", "accuracy_mean"])
-        for fn in fns:
-            v = report["overall_accuracy_mean"][fn]
-            w.writerow([fn, "" if v is None else f"{v:.4f}"])
-
-    with open(out_dir / "rank_table.csv", "w", newline="") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["cost_fn", "rank1", "rank2", "rank3"])
-        for fn in fns:
-            w.writerow([fn, *report["rank_table"][fn]])
-
-    with open(out_dir / "pearson_accuracy.csv", "w", newline="") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["cost_fn", *fns])
-        for f1 in fns:
-            row = [f1]
-            for f2 in fns:
-                v = report["pearson_accuracy"][f1][f2]
-                row.append("" if v is None else f"{v:.4f}")
-            w.writerow(row)
-
-    with open(out_dir / "wilcoxon_p.csv", "w", newline="") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["pair", "p_value"])
-        for pair, p in sorted(report["wilcoxon_accuracy_p"].items()):
-            w.writerow([pair, "" if p is None else f"{p:.6f}"])
-
-    with open(out_dir / "per_domain.csv", "w", newline="") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["cost_fn", "domain", "n_tasks",
-                    *(f"{m}_mean" for m in analytics.METRIC_NAMES),
-                    *(f"{m}_stderr" for m in analytics.METRIC_NAMES)])
-        for fn in fns:
-            for domain, agg in sorted(report["per_domain"][fn].items()):
-                w.writerow([
-                    fn, domain, agg["n_tasks"],
-                    *(f"{agg['mean'][m]:.4f}" for m in analytics.METRIC_NAMES),
-                    *(f"{agg['stderr'][m]:.4f}" for m in analytics.METRIC_NAMES),
-                ])
+    for file_name, header, rows, decimals in _analysis_tables(report):
+        with open(out_dir / file_name, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows([cell(v, decimals) for v in row] for row in rows)
 
 
 def _round_floats(obj):

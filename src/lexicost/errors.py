@@ -2,16 +2,18 @@
 
 
 class LexicostError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  One raised at a place in an input
+    text carries that place's 1-based line and column, and its message starts
+    with them."""
+
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        super().__init__(message if line is None else f"line {line}, col {col}: {message}")
+        self.line = line
+        self.col = col
 
 
 class ParseError(LexicostError):
-    """Malformed input text; carries 1-based line/column of the offence."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.line = line
-        self.col = col
+    """Malformed input text."""
 
 
 class ArityMismatchError(LexicostError):

@@ -51,12 +51,6 @@ class Coverage:
     n_pos: int
     n_neg: int
 
-    def pos_string(self) -> str:
-        return bits_to_string(self.pos_bits, self.n_pos)
-
-    def neg_string(self) -> str:
-        return bits_to_string(self.neg_bits, self.n_neg)
-
 
 @dataclass(frozen=True)
 class Confusion:

@@ -265,11 +265,12 @@ class _Tokens:
         m = next(self._matches, None)
         self.tok, self.at = (m[0], m.start()) if m else ("", len(self.text))
 
-    def error(self, message: str, at: int | None = None) -> ParseError:
-        """A ParseError at offset `at`, by default where the current token starts."""
+    def error(self, message: str, at: int | None = None,
+              kind: type[LexicostError] = ParseError) -> LexicostError:
+        """A `kind` error at offset `at`, by default where the current token starts."""
         at = self.at if at is None else at
         line = self.text.count("\n", 0, at) + 1
-        return ParseError(message, line, at - self.text.rfind("\n", 0, at))
+        return kind(message, line, at - self.text.rfind("\n", 0, at))
 
     def take(self, mark: str) -> bool:
         if self.tok != mark:
@@ -330,9 +331,8 @@ def _ground_atoms(text: str, labelled: bool) -> Iterator[tuple[str, Atom]]:
             raise ts.error(f"{what} must be ground: {a}", at[0])
         prev = arity.setdefault(a.predicate, a.arity)
         if prev != a.arity:
-            raise ArityMismatchError(
-                f"predicate {a.predicate!r} used with arities {prev} and {a.arity}"
-            )
+            raise ts.error(f"predicate {a.predicate!r} used with arities {prev} "
+                           f"and {a.arity}", at[0], ArityMismatchError)
         yield label, a
 
 
@@ -363,7 +363,8 @@ def parse_bias(text: str) -> Bias:
     recursion = False
     while ts.tok:
         if _NAME.match(ts.tok) and ts.tok not in _DIRECTIVE_ARITY:
-            raise UnknownBiasDirectiveError(f"unknown bias directive {ts.tok!r}")
+            raise ts.error(f"unknown bias directive {ts.tok!r}",
+                           kind=UnknownBiasDirectiveError)
         a, at = _atom(ts)
         name, args = a.predicate, a.args
         ts.expect(".")

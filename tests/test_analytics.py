@@ -1,12 +1,15 @@
+import dataclasses
 import math
 import random
+import typing
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from lexicost.analytics import (
     BALANCED_DEGENERATE,
+    CSV_COLUMNS,
     MetricReport,
     PRECISION_UNDEFINED,
     ResultRow,
@@ -236,6 +239,16 @@ class TestRankTable:
             rank_table({"a": [float("nan")]})
 
 
+# a results CSV row's name fields may hold commas, quotes and spaces
+CSV_TEXT = st.text("ab_/1 ,\"'", max_size=6)
+COLUMN_TYPES = typing.get_type_hints(ResultRow)
+INT_COLUMNS = [c for c in CSV_COLUMNS if COLUMN_TYPES[c] is int]
+
+
+def row_order(r: ResultRow):
+    return (r.domain, r.task, r.cost_fn, r.repeat)
+
+
 def make_rows():
     rows = []
     for domain, base in (("alpha", 90), ("beta", 70)):
@@ -261,9 +274,31 @@ class TestResultsPipeline:
     def test_csv_round_trip(self):
         rows = make_rows()
         text = write_results_csv(rows)
-        assert read_results_csv(text) == sorted(
-            rows, key=lambda r: (r.domain, r.task, r.cost_fn, r.repeat)
-        )
+        assert read_results_csv(text) == sorted(rows, key=row_order)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(ResultRow, **{
+        c: st.integers(0, 2**63) if COLUMN_TYPES[c] is int else CSV_TEXT
+        for c in CSV_COLUMNS
+    }), min_size=1, max_size=6))
+    def test_random_rows_round_trip(self, rows):
+        assert read_results_csv(write_results_csv(rows)) == sorted(rows, key=row_order)
+
+    def test_int_columns_are_the_counts_and_times(self):
+        assert INT_COLUMNS == ["repeat", "tp", "fp", "tn", "fn", "size", "runtime_ms"]
+
+    @pytest.mark.parametrize("column", INT_COLUMNS)
+    @pytest.mark.parametrize("value", ["", "x", "1.5"])
+    def test_bad_int_value_names_its_row(self, column, value):
+        # rows of two cost functions, so that writing never orders by `repeat`
+        rows = make_rows()
+        bad = dataclasses.replace(rows[2], **{column: value})
+        text = write_results_csv([rows[0], bad])
+        if column == "runtime_ms" and value == "":
+            assert read_results_csv(text)[1] == dataclasses.replace(bad, runtime_ms=0)
+            return
+        with pytest.raises(SchemaError, match="^row 3: "):
+            read_results_csv(text)
 
     def test_schema_errors(self):
         with pytest.raises(SchemaError):

@@ -15,7 +15,7 @@ from lexicost.cli import (
     run_bench,
     stratified_split,
 )
-from lexicost.analytics import read_results_csv
+from lexicost.analytics import ResultRow, read_results_csv, write_results_csv
 from lexicost.cost import ALL_SPEC_NAMES
 from lexicost.errors import LexicostError
 from lexicost.kb import atom
@@ -477,6 +477,23 @@ class TestBench:
             ("trains", "error", "ok"), ("trains", "mdl", "ok"),
         ]
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("split", [None, 0.5])
+    def test_overlapping_labels_fail_every_row(self, tmp_path, seed, split):
+        # `Task` rejects an example labelled both ways; a split must not
+        # hide that by putting one of the two labels on the held-out side
+        exs = (DEMO / "trains" / "t1" / "exs.datalog").read_text() + "neg(east(t1)).\n"
+        root = tmp_path / "suite"
+        write_task_dir(root, "trains", "t1",
+                       (DEMO / "trains" / "t1" / "bk.datalog").read_text(), exs,
+                       (DEMO / "trains" / "t1" / "bias.txt").read_text())
+        rows = read_results_csv(run_bench(SuiteConfig(
+            root_dir=root, cost_fns=("error", "mdl"), repeats=3, split=split,
+            seed=seed, timing=False,
+        )))
+        assert len(rows) == 6
+        assert {r.status for r in rows} == {"error"}
+
     def test_out_in_missing_directory_exit_2(self, suite_root, tmp_path, capsys,
                                              monkeypatch):
         from lexicost import cli
@@ -635,6 +652,28 @@ class TestAnalyzeCommand:
         assert (agg_dir / "rank_table.csv").exists()
         assert (agg_dir / "pearson_accuracy.csv").exists()
         assert (agg_dir / "overall_means.csv").exists()
+
+    def test_filled_tables_keep_their_float_formats(self, tmp_path, capsys):
+        # seven domains, so every Pearson and Wilcoxon cell has a value (the
+        # demo tables leave them blank); p-values keep six decimals, other
+        # floats four.  The expected texts were written by the code before
+        # the tables became data.
+        rng = random.Random(7)
+        rows = [ResultRow(f"d{d}", f"t{t}", r, fn, tp=rng.randint(1, 9),
+                          fp=rng.randint(0, 5), tn=rng.randint(0, 9),
+                          fn=rng.randint(0, 5), size=rng.randint(0, 4))
+                for d in range(7) for t in range(2) for r in (1, 2) for fn in "abc"]
+        results = tmp_path / "results.csv"
+        results.write_text(write_results_csv(rows))
+        assert main(["analyze", str(results), "--out-dir", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert (tmp_path / "wilcoxon_p.csv").read_text() == (
+            "pair,p_value\na|b,0.687500\na|c,0.687500\nb|c,0.687500\n")
+        assert (tmp_path / "pearson_accuracy.csv").read_text() == (
+            "cost_fn,a,b,c\na,1.0000,0.2918,-0.2448\nb,0.2918,1.0000,0.1963\n"
+            "c,-0.2448,0.1963,1.0000\n")
+        assert (tmp_path / "overall_means.csv").read_text() == (
+            "cost_fn,accuracy_mean\na,63.3324\nb,65.6851\nc,64.3709\n")
 
     def test_demo_results_match_golden_csvs(self, tmp_path):
         golden = DATA / "demo_analysis"

@@ -112,8 +112,8 @@ class TestCoverage:
         )
         p = parse_program("east(T):- has_car(T,C),closed(C).")
         cov = coverage(p, task)
-        assert cov.pos_string() == "1100"
-        assert cov.neg_string() == "00"
+        assert bits_to_string(cov.pos_bits, cov.n_pos) == "1100"
+        assert bits_to_string(cov.neg_bits, cov.n_neg) == "00"
         conf = confusion(cov, task)
         assert (conf.tp, conf.fn, conf.fp, conf.tn) == (2, 2, 0, 2)
 

@@ -11,7 +11,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexicost.errors import ParseError
+from lexicost.errors import ArityMismatchError, ParseError, UnknownBiasDirectiveError
 from lexicost.kb import (
     Atom,
     Bias,
@@ -133,8 +133,10 @@ _TOKEN = re.compile(r"[A-Za-z0-9_]+|:-|\S")
 def _injections(text: str, term_depth: int, kinds: set[str]):
     """(kind, bad text, offset where its faulty token starts) for one bad
     token put at each place of a valid rendered text.  Terms sit at paren
-    depth `term_depth`; an atom's predicate one level above."""
-    tokens, depth = [], 0
+    depth `term_depth`; an atom's predicate one level above.  An "arity"
+    injection gives one more term to an atom whose predicate occurs earlier,
+    and a "directive" one renames a bias directive to `max_var`."""
+    tokens, depth, seen = [], 0, set()
     for m in _TOKEN.finditer(text):
         depth -= m[0] == ")"
         tokens.append((m[0], m.start(), depth))
@@ -153,6 +155,14 @@ def _injections(text: str, term_depth: int, kinds: set[str]):
                 yield "ground", text[:at] + "X" + text[end:], atom_at
         if is_name and d == term_depth - 1 and "predicate" in kinds:
             yield "predicate", text[:at] + "Q" + text[end:], at
+        if is_name and d == term_depth - 1 and "arity" in kinds:
+            if tok in seen and tokens[i + 1][0] == "(":
+                yield "arity", text[:end + 1] + "z," + text[end + 1:], at
+            elif tok in seen:
+                yield "arity", text[:end] + "(z)" + text[end:], at
+            seen.add(tok)
+        if is_name and d == term_depth - 1 and "directive" in kinds:
+            yield "directive", text[:at] + "max_var" + text[end:], at
         if tok == "." or (tok == ")" and tokens[i + 1][0] == "."):
             yield f"missing {tok}", text[:at] + text[end:], after
 
@@ -168,14 +178,17 @@ def test_parse_error_points_at_the_injected_token(drawn, rs):
     bk, exs, bias = render_task(*drawn)
     common = {"term", "missing .", "missing )"}
     files = [
-        (parse_facts, bk, 1, common | {"predicate", "ground"}),
-        (parse_examples, exs, 2, common | {"predicate", "ground"}),
-        (parse_bias, bias, 1, common | {"integer"}),
+        (parse_facts, bk, 1, common | {"predicate", "ground", "arity"}),
+        (parse_examples, exs, 2, common | {"predicate", "ground", "arity"}),
+        (parse_bias, bias, 1, common | {"integer", "directive"}),
         (parse_program, render_program(Program(rs)), 1, common | {"predicate"}),
     ]
+    # the two input errors that are not ParseErrors keep their own classes
+    errors = {"arity": ArityMismatchError, "directive": UnknownBiasDirectiveError}
     for parse, text, term_depth, kinds in files:
         for kind, bad, offset in _injections(text, term_depth, kinds):
-            with pytest.raises(ParseError) as caught:
+            with pytest.raises(errors.get(kind, ParseError)) as caught:
                 parse(bad)
             got = (caught.value.line, caught.value.col)
             assert got == _position(bad, offset), (parse.__name__, kind, bad)
+            assert str(caught.value).startswith("line {}, col {}: ".format(*got))
