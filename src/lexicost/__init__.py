@@ -8,7 +8,6 @@ from .cost import (
     CostVector,
     LinearComponent,
     NAMED_SPECS,
-    compare,
     evaluate,
     generator_size_bound,
     parse_cost_spec,
@@ -17,7 +16,6 @@ from .combiner import (
     CombineProblem,
     CombineSolution,
     PromisingEntry,
-    brute_force_combination,
     optimal_combination,
 )
 from .engine import LearnOptions, LearnResult, LearnStats, evaluate_on_test, learn
@@ -39,7 +37,6 @@ from .kb import (
     parse_program,
     parse_rule,
     parse_task,
-    program_size,
     render_program,
 )
 
@@ -67,8 +64,6 @@ __all__ = [
     "Rule",
     "Task",
     "atom",
-    "brute_force_combination",
-    "compare",
     "confusion",
     "coverage",
     "evaluate",
@@ -82,7 +77,6 @@ __all__ = [
     "parse_program",
     "parse_rule",
     "parse_task",
-    "program_size",
     "program_subsumes",
     "render_program",
     "theta_subsumes",

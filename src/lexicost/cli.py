@@ -238,9 +238,10 @@ def _bench_task(job: tuple[str, str, Path, SuiteConfig]) -> list[ResultRow]:
     directory's examples, so a task that `Task` rejects fails every row, with
     or without a split.  The fact store and the bias's rules are built once,
     before the first `learn`, and every split's `Task` shares them.
-    `runtime_ms` times the row's `learn` call, which lists the candidates of
-    each size that no earlier row of the task reached (see
-    `generator.candidate_ids`), so the first row pays for most of the listing.
+    `runtime_ms` times the row's `learn` call.  The rows on one `Task` share
+    its candidate walk: the first row pays for the walk up to where it
+    stops, and a later row only for what it adds.  Repeats without a split
+    share one `Task` and so one walk; each split repeat has its own.
     """
     domain, name, d, config = job
     repeats = range(1, config.repeats + 1)

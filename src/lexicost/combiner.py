@@ -19,9 +19,9 @@ so the pool size is limited by time, not by the interpreter's stack:
 - the child with the smaller bound is tried first, so good incumbents come
   early and cut most of the tree.
 
-So its selection is the one that `brute_force_combination`, the independent
-exhaustive oracle, makes over the non-dominated entries; over all entries the
-two may select different optima of equal cost.
+So its selection is the one that an exhaustive search over the non-dominated
+entries makes (`tests/oracles.py` holds one, `brute_force_combination`); over
+all entries the two may select different optima of equal cost.
 
 `CombinePool` keeps the same optimum for a pool that grows one entry at a
 time, each with a larger id than the last, without solving from scratch.
@@ -42,10 +42,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .cost import CostSpec, CostVector, evaluate
-from .errors import LengthMismatchError, ParseError, TooLargeError
+from .errors import LengthMismatchError, ParseError
 from .evaluator import Confusion, bits_to_string, confusion_of, string_to_bits
-
-BRUTE_FORCE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -253,36 +251,6 @@ class CombinePool:
         if key < old:
             self.solution = _solution(self._p, self.front, key[1])
         return FORCED
-
-
-def brute_force_combination(p: CombineProblem) -> CombineSolution:
-    """Exhaustive oracle over all 2^n subsets; same contract, |entries| <= 20."""
-    n = len(p.entries)
-    if n > BRUTE_FORCE_LIMIT:
-        raise TooLargeError(f"{n} entries exceeds the brute-force limit of "
-                            f"{BRUTE_FORCE_LIMIT}")
-    entries = sorted(p.entries, key=lambda e: e.id)
-    budget = float("inf") if p.max_rules is None else p.max_rules
-    best: tuple[CostVector, tuple[int, ...]] | None = None
-
-    def rec(i: int, pos: int, neg: int, size: int, rules: int,
-            ids: tuple[int, ...]) -> None:
-        nonlocal best
-        if i == n:
-            conf = confusion_of(pos, neg, p.n_pos, p.n_neg)
-            key = (evaluate(p.spec, conf, size), ids)
-            if best is None or key < best:
-                best = key
-            return
-        e = entries[i]
-        rec(i + 1, pos, neg, size, rules, ids)
-        if rules + e.rules <= budget:
-            rec(i + 1, pos | e.pos_bits, neg | e.neg_bits, size + e.size,
-                rules + e.rules, ids + (e.id,))
-
-    rec(0, 0, 0, 0, 0, ())
-    assert best is not None
-    return _solution(p, entries, best[1])
 
 
 def dump_problem(p: CombineProblem) -> str:

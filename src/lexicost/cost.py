@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LengthMismatchError, LexicostError
+from .errors import LexicostError
 from .evaluator import Confusion
 
 CostVector = tuple[int, ...]
@@ -102,19 +102,6 @@ def parse_cost_spec(text: str) -> CostSpec:
 
 def evaluate(spec: CostSpec, conf: Confusion, size: int) -> CostVector:
     return tuple(c.value(conf, size) for c in spec.components)
-
-
-def compare(v1: CostVector, v2: CostVector) -> int:
-    """-1, 0 or 1 for lexicographic less / equal / greater."""
-    if len(v1) != len(v2):
-        raise LengthMismatchError(
-            f"cost vectors have lengths {len(v1)} and {len(v2)}"
-        )
-    if v1 < v2:
-        return -1
-    if v1 > v2:
-        return 1
-    return 0
 
 
 def generator_size_bound(spec: CostSpec, best: CostVector | None) -> int | None:

@@ -1,5 +1,10 @@
 """The learning loop: generate, test, combine, constrain, bound, terminate.
 
+Which candidates exist, what they cover and which are pruned depend on the
+task alone, so one `CandidateWalk` per task, kept on the `Task` like its
+fact store, draws and tests each candidate once for every `learn` call on
+the task; a candidate covering no positive prunes its specialisations.
+
 Each candidate is tested standalone and may update the best hypothesis
 directly (this is how recursive solutions are found).  Non-recursive
 candidates covering at least one positive example join the promising pool,
@@ -8,11 +13,10 @@ over which the combine stage selects an exactly optimal union.  The pool is a
 that evicts no selected entry is searched only in the unions that contain it,
 and only one that evicts a selected entry makes the learner solve the whole
 pool again with `optimal_combination`; `LearnStats` counts the first and last
-kinds.  The union is built only when the selection changes.  Candidates
-covering no positives prune all their specialisations from future
-generation.  When the cost function charges for size, the generator's size
-cap shrinks as the best cost improves, and exhaustion of the stream proves
-global optimality over the bias-defined space.
+kinds.  The union is built only when the selection changes.  When the cost
+function charges for size, the run's size cap shrinks as the best cost
+improves; the run ends at the first item above it, and the end of the
+stream within the cap proves global optimality over the bias-defined space.
 
 The loop also stops, with the same proof, as soon as the best cost is all
 zeros: every cost component is a sum of non-negative counts, so nothing can
@@ -39,13 +43,14 @@ from .cost import CostSpec, CostVector, evaluate, generator_size_bound
 from .errors import LexicostError
 from .evaluator import (
     Confusion,
+    Coverage,
     confusion,
     confusion_of,
     coverage,
     coverage_of_examples,
 )
 from .generator import CandidateGenerator, prune_specializations
-from .kb import EMPTY_PROGRAM, Atom, Program, Task, validate_example
+from .kb import EMPTY_PROGRAM, Atom, Bias, Program, Task, validate_example
 
 PROOF_OPTIMAL = "optimal"
 PROOF_CAP_EXHAUSTED = "cap-exhausted"
@@ -108,18 +113,56 @@ def _admissible(
     """
     if conf.tp == 0:
         return False
-    if any(
-        (a.predicate, a.arity) in head_preds for r in p.rules for a in r.body
-    ):
+    if any((a.predicate, a.arity) in head_preds for r in p.rules for a in r.body):
         return False
     if spec.fp_is_primary and conf.fp > 0:
         return False
     return True
 
 
+class CandidateWalk:
+    """One uncapped `CandidateGenerator` over the task's bias and the items
+    `(program, coverage, confusion)` drawn from it so far.  A candidate is
+    tested on its first read; one whose test raises stays pending at its
+    index, and the next read tests it again.  The walk holds no reference
+    to its task, so a task and its walk are freed as soon as the task goes."""
+
+    def __init__(self, bias: Bias):
+        self.items: list[tuple[Program, Coverage, Confusion]] = []
+        self._gen = CandidateGenerator(bias)
+        self._pending: Program | None = None
+
+    def read(self, t: Task, i: int, max_size: int) -> tuple[Program, Coverage, Confusion] | None:
+        """Item i of task t's walk (runs read 0, 1, 2, ... in order), or None
+        when the stream ends first or the item is larger than `max_size`."""
+        items = self.items
+        # sizes never decrease: past an item above the cap, draw nothing
+        if i == len(items) and (not items or items[-1][0].size <= max_size):
+            if self._pending is None:
+                self._pending = self._gen.next_candidate()
+            h = self._pending
+            if h is None or h.size > max_size:
+                return None
+            cov = coverage(h, t)
+            conf = confusion(cov, t)
+            if conf.tp == 0:
+                self._gen.add_constraint(prune_specializations(h))
+            items.append((h, cov, conf))
+            self._pending = None
+        return items[i] if i < len(items) and items[i][0].size <= max_size else None
+
+
+def candidate_walk(t: Task) -> CandidateWalk:
+    """The task's walk, made by the first call and kept on the task."""
+    if "_candidate_walk" not in t.__dict__:
+        object.__setattr__(t, "_candidate_walk", CandidateWalk(t.bias))
+    return t.__dict__["_candidate_walk"]
+
+
 def learn(t: Task, o: LearnOptions) -> LearnResult:
     spec = o.spec
-    gen = CandidateGenerator(t.bias, size_cap=o.max_size)
+    walk = candidate_walk(t)
+    cap = t.bias.max_program_size if o.max_size is None else o.max_size
 
     stats = LearnStats()
     n_pos, n_neg = len(t.pos), len(t.neg)
@@ -142,13 +185,10 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
             stats.stop = "candidate-cap"
             proof = PROOF_CAP_EXHAUSTED
             break
-        h = gen.next_candidate()
-        if h is None:
+        if (item := walk.read(t, stats.generated, cap)) is None:
             break
+        h, cov, conf = item
         stats.generated += 1
-
-        cov = coverage(h, t)
-        conf = confusion(cov, t)
 
         standalone = evaluate(spec, conf, h.size)
         if standalone < best_cost:
@@ -156,13 +196,8 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
             history.append(best_cost)
 
         if _admissible(h, conf, spec, t.bias.head_preds):
-            entry = PromisingEntry(
-                id=len(programs),
-                rules=len(h.rules),
-                pos_bits=cov.pos_bits,
-                neg_bits=cov.neg_bits,
-                size=h.size,
-            )
+            entry = PromisingEntry(id=len(programs), rules=len(h.rules), size=h.size,
+                                   pos_bits=cov.pos_bits, neg_bits=cov.neg_bits)
             programs.append(h)
             stats.promising += 1
             before = pool.solution
@@ -182,12 +217,9 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
                     best_prog, best_conf, best_cost = union, sol.conf, ucost
                     history.append(best_cost)
 
-        if conf.tp == 0:
-            gen.add_constraint(prune_specializations(h))
-
         bound = generator_size_bound(spec, best_cost)
         if bound is not None:
-            gen.set_size_cap(bound)
+            cap = min(cap, bound)
 
     return LearnResult(
         best=best_prog,
@@ -208,8 +240,7 @@ def evaluate_on_test(
 ) -> Confusion:
     """Coverage of the learned hypothesis over held-out examples, against the
     same background facts."""
-    test_pos = tuple(test_pos)
-    test_neg = tuple(test_neg)
+    test_pos, test_neg = tuple(test_pos), tuple(test_neg)
     for a in (*test_pos, *test_neg):
         validate_example(a, t.bias)
     cov = coverage_of_examples(r.best, t, test_pos, test_neg)

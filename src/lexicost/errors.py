@@ -69,9 +69,5 @@ class IncompleteMatrixError(LexicostError):
     """A ranking matrix has missing or ragged entries."""
 
 
-class TooLargeError(LexicostError):
-    """The instance exceeds the size bound of an exhaustive procedure."""
-
-
 class SchemaError(LexicostError):
     """A results file does not match the expected CSV schema."""

@@ -430,9 +430,7 @@ def confusion(c: Coverage, t: Task) -> Confusion:
             f"coverage is over {c.n_pos}/{c.n_neg} examples, task has "
             f"{len(t.pos)}/{len(t.neg)}"
         )
-    tp = c.pos_bits.bit_count()
-    fp = c.neg_bits.bit_count()
-    return Confusion(tp=tp, fp=fp, tn=c.n_neg - fp, fn=c.n_pos - tp)
+    return confusion_of(c.pos_bits, c.neg_bits, c.n_pos, c.n_neg)
 
 
 def confusion_of(cov_pos: int, cov_neg: int, n_pos: int, n_neg: int) -> Confusion:

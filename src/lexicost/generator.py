@@ -270,26 +270,23 @@ def candidate_ids(bias: Bias, size: int) -> list[tuple[int, ...]]:
 
 
 class CandidateGenerator:
-    """Stateful filter over the bias's candidate lists; single-owner,
-    engine-driven.
+    """Stateful filter over the bias's candidate lists; single-owner (the
+    engine keeps one per task, in its `CandidateWalk`).
 
-    The generator walks `candidate_ids` size by size, stops once its size
-    cap is below the current size, and builds a `Program` only for a
-    candidate that it emits.  Specialisation anchors are numbered in arrival
-    order, and for each rule id the generator keeps a bitset over anchor
-    numbers: bit k is set iff some rule of anchor k theta-subsumes that rule.
+    The generator walks `candidate_ids` size by size, up to the bias's
+    largest program, and builds a `Program` only for a candidate that it
+    emits.  Specialisation anchors are numbered in arrival order, and for
+    each rule id the generator keeps a bitset over anchor numbers: bit k
+    is set iff some rule of anchor k theta-subsumes that rule.
     A program is blocked iff some anchor subsumes every one of its rules,
     i.e. iff the AND of its rules' bitsets is non-zero.  Bitsets are
     extended lazily, when a candidate containing the rule reaches the check,
     so each (anchor, rule) pair is tested at most once.
     """
 
-    def __init__(self, bias: Bias, *, size_cap: int | None = None):
+    def __init__(self, bias: Bias):
         self.bias = bias
-        cap = bias.max_program_size if size_cap is None else size_cap
-        self.size_cap = min(cap, bias.max_program_size)
         self._anchors: list[Program] = []
-        self._anchor_set: set[Program] = set()
         # the current size, and the rest of its list (None until it is reached)
         self._size = 1
         self._listed: Iterator[tuple[int, ...]] | None = None
@@ -302,13 +299,7 @@ class CandidateGenerator:
     # -- constraints --------------------------------------------------------
 
     def add_constraint(self, c: Constraint) -> None:
-        if c.anchor not in self._anchor_set:
-            self._anchor_set.add(c.anchor)
-            self._anchors.append(c.anchor)
-
-    def set_size_cap(self, cap: int) -> None:
-        """Tighten the size cap; never loosens."""
-        self.size_cap = min(self.size_cap, cap)
+        self._anchors.append(c.anchor)
 
     # -- stream -------------------------------------------------------------
 
@@ -317,7 +308,7 @@ class CandidateGenerator:
 
         Programs are unique by construction, so none is emitted twice.
         """
-        while self._size <= self.size_cap:
+        while self._size <= self.bias.max_program_size:
             if self._listed is None:
                 self._listed = iter(candidate_ids(self.bias, self._size))
                 grow = len(self._rules) - len(self._subsumed_by)

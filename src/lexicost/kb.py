@@ -168,11 +168,6 @@ class Program:
 EMPTY_PROGRAM = Program()
 
 
-def program_size(p: Program) -> int:
-    """Number of literals in the program: sum over rules of 1 + body length."""
-    return p.size
-
-
 def render_program(p: Program) -> str:
     """Deterministic canonical text; empty program renders as the empty string."""
     return "\n".join(str(r) for r in p.rules)
@@ -218,7 +213,7 @@ class Task:
             )
         for a in self.bk_facts:
             if not a.is_ground:
-                raise ParseError(f"background fact is not ground: {a}", 0, 0)
+                raise ParseError(f"background fact is not ground: {a}")
             if (a.predicate, a.arity) in self.bias.head_preds:
                 raise BackgroundHeadPredicateError(
                     f"background fact {a} uses head predicate "

@@ -3,6 +3,7 @@
 Deliberately written from first principles rather than reusing package
 internals: naive repeat-until-fixpoint model computation, a recursive
 hypothesis-space enumerator with its own canonicalisation and subsumption,
+a 2^n subset enumeration of combine problems with its own cost arithmetic,
 and a 2^n sign-enumeration signed-rank p-value.
 """
 
@@ -11,7 +12,9 @@ from __future__ import annotations
 import itertools
 import random
 
+from lexicost.combiner import CombineProblem, CombineSolution
 from lexicost.cost import CostSpec, evaluate
+from lexicost.errors import LexicostError
 from lexicost.evaluator import Confusion
 from lexicost.kb import Atom, Bias, Program, Rule, Task, is_var, variable_name
 
@@ -263,6 +266,62 @@ def enumerate_candidate_space(bias: Bias) -> list[Program]:
             if len(p.rules) == k and _oracle_program_ok(p, bias):
                 out.append(p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Brute-force combination
+# ---------------------------------------------------------------------------
+
+BRUTE_FORCE_LIMIT = 20
+
+# the levels of each named cost function, each level a sum of terms
+COST_LEVELS = {
+    "error": (("fp", "fn"),),
+    "errorsize": (("fp", "fn"), ("size",)),
+    "fnfp": (("fn",), ("fp",)),
+    "fnfpsize": (("fn",), ("fp",), ("size",)),
+    "fpfn": (("fp",), ("fn",)),
+    "fpfnsize": (("fp",), ("fn",), ("size",)),
+    "mdl": (("fp", "fn", "size"),),
+}
+
+
+class TooLargeError(LexicostError):
+    """The instance exceeds the size bound of an exhaustive procedure."""
+
+
+def brute_force_combination(p: CombineProblem) -> CombineSolution:
+    """The selection with the smallest `(cost, sorted ids)` over all 2^n
+    subsets of at most `max_rules` rules, for |entries| <= 20 and a named
+    cost function."""
+    n = len(p.entries)
+    if n > BRUTE_FORCE_LIMIT:
+        raise TooLargeError(f"{n} entries exceeds the brute-force limit of "
+                            f"{BRUTE_FORCE_LIMIT}")
+    entries = sorted(p.entries, key=lambda e: e.id)
+    budget = float("inf") if p.max_rules is None else p.max_rules
+    levels = COST_LEVELS[p.spec.name]
+    best = None
+
+    def rec(i: int, pos: int, neg: int, size: int, rules: int, ids: tuple) -> None:
+        nonlocal best
+        if i == n:
+            tp, fp = bin(pos).count("1"), bin(neg).count("1")
+            terms = {"fp": fp, "fn": p.n_pos - tp, "size": size}
+            key = (tuple(sum(terms[t] for t in level) for level in levels), ids)
+            if best is None or key < best[0]:
+                conf = Confusion(tp=tp, fp=fp, tn=p.n_neg - fp, fn=p.n_pos - tp)
+                best = (key, conf, size)
+            return
+        e = entries[i]
+        rec(i + 1, pos, neg, size, rules, ids)
+        if rules + e.rules <= budget:
+            rec(i + 1, pos | e.pos_bits, neg | e.neg_bits, size + e.size,
+                rules + e.rules, ids + (e.id,))
+
+    rec(0, 0, 0, 0, 0, ())
+    (cost, ids), conf, size = best
+    return CombineSolution(selected=ids, cost=cost, conf=conf, total_size=size)
 
 
 # ---------------------------------------------------------------------------

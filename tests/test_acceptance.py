@@ -22,7 +22,6 @@ from lexicost.analytics import (
 from lexicost.combiner import (
     CombineProblem,
     PromisingEntry,
-    brute_force_combination,
     optimal_combination,
 )
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS
@@ -31,6 +30,7 @@ from lexicost.evaluator import coverage, least_model
 from lexicost.kb import Program, atom
 from conftest import make_task
 from oracles import (
+    brute_force_combination,
     brute_wilcoxon_p,
     exhaustive_best_costs,
     naive_least_model,

@@ -12,14 +12,14 @@ from lexicost.combiner import (
     CombineProblem,
     PromisingEntry,
     _filter_dominated,
-    brute_force_combination,
     dump_problem,
     optimal_combination,
     parse_problem,
 )
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS, evaluate, parse_cost_spec
-from lexicost.errors import ParseError, TooLargeError
+from lexicost.errors import ParseError
 from lexicost.evaluator import string_to_bits
+from oracles import TooLargeError, brute_force_combination
 
 DATA = Path(__file__).parent / "data"
 

@@ -6,12 +6,11 @@ from lexicost.cost import (
     CostSpec,
     LinearComponent,
     NAMED_SPECS,
-    compare,
     evaluate,
     generator_size_bound,
     parse_cost_spec,
 )
-from lexicost.errors import LengthMismatchError, LexicostError
+from lexicost.errors import LexicostError
 from lexicost.evaluator import Confusion
 
 
@@ -74,30 +73,26 @@ class TestEvaluate:
 
 
 class TestCompare:
-    def test_examples(self):
-        assert compare((0, 3), (1, 0)) == -1
-        assert compare((2, 1), (2, 5)) == -1
-        assert compare((2, 5), (2, 5)) == 0
+    """Cost vectors are tuples, which compare lexicographically."""
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            compare((1,), (1, 2))
+    def test_examples(self):
+        assert (0, 3) < (1, 0)
+        assert (2, 1) < (2, 5)
+        assert not (2, 5) < (2, 5) and (2, 5) == (2, 5)
 
     @given(
         st.lists(st.tuples(*[st.integers(0, 9)] * 3), min_size=3, max_size=3)
     )
     def test_total_order(self, vs):
         a, b, c = [tuple(v) for v in vs]
-        # antisymmetry
-        if compare(a, b) == -1:
-            assert compare(b, a) == 1
-        if compare(a, b) == 0:
-            assert a == b and compare(b, a) == 0
+        # exactly one of <, == and > holds, and a < b iff b > a
+        assert (a < b) + (a == b) + (a > b) == 1
+        assert (a < b) == (b > a)
         # transitivity
-        if compare(a, b) <= 0 and compare(b, c) <= 0:
-            assert compare(a, c) <= 0
+        if a <= b and b <= c:
+            assert a <= c
         # reflexivity
-        assert compare(a, a) == 0
+        assert a == a and not a < a
 
 
 class TestSizeBound:

@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from lexicost import combiner, engine
@@ -7,12 +11,13 @@ from lexicost.engine import (
     LearnOptions,
     PROOF_CAP_EXHAUSTED,
     PROOF_OPTIMAL,
+    candidate_walk,
     evaluate_on_test,
     learn,
 )
-from lexicost.errors import UnknownPredicateError
+from lexicost.errors import ResourceLimitError, UnknownPredicateError
 from lexicost.generator import CandidateGenerator
-from lexicost.kb import atom, parse_program, program_size, render_program
+from lexicost.kb import atom, parse_program, render_program
 from conftest import make_task
 from oracles import exhaustive_best_cost
 
@@ -82,7 +87,7 @@ class TestGlobalOptimality:
     def test_result_invariant(self, trains_task, name):
         res = learn(trains_task, opts(name))
         assert res.cost == evaluate(
-            NAMED_SPECS[name], res.train_conf, program_size(res.best)
+            NAMED_SPECS[name], res.train_conf, res.best.size
         )
 
 
@@ -105,7 +110,8 @@ class TestLoopBehaviour:
     def test_constraint_and_filter_neutrality(self, fixture, name, request,
                                               monkeypatch):
         """Specialisation pruning, the combiner's dominance filter and the
-        size bound change no cost: with each patched out, the cost holds."""
+        size bound change no cost: with each patched out, the cost holds.
+        Each switch runs on a fresh task, whose walk is made under it."""
         task = request.getfixturevalue(fixture)
         reference = learn(task, opts(name)).cost
         switches = {
@@ -117,7 +123,7 @@ class TestLoopBehaviour:
             with monkeypatch.context() as m:
                 for name_off in off:
                     m.setattr(*switches[name_off])
-                assert learn(task, opts(name)).cost == reference
+                assert learn(dataclasses.replace(task), opts(name)).cost == reference
 
     def test_candidate_cap(self, trains_task):
         res = learn(trains_task, opts("errorsize", candidate_cap=2))
@@ -164,6 +170,115 @@ class TestLoopBehaviour:
             assert optimal_combination(res.final_problem) == pool.solution
             assert res.stats.combine_skipped == cases.count(SKIP)
             assert res.stats.combine_resolves == cases.count(FULL)
+
+
+FIXTURE_TASKS = ORACLE_TASKS + ["path_task_split"]
+
+
+class TestCandidateWalk:
+    """Every run on a task reads the task's one walk; each must return what
+    a run on a fresh, equal task returns."""
+
+    @pytest.mark.parametrize("fixture", FIXTURE_TASKS)
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    @pytest.mark.parametrize("options", [
+        {}, {"max_size": 3}, {"candidate_cap": 5},
+        {"max_size": 4, "candidate_cap": 20}, "mixed",
+    ], ids=["plain", "max_size", "candidate_cap", "both", "mixed"])
+    def test_shared_walk_equals_fresh_tasks(self, fixture, order, options, request):
+        task = request.getfixturevalue(fixture)
+        if fixture == "path_task_split":
+            task = task[0]  # (task, held-out positives, held-out negatives)
+        names = ALL_SPEC_NAMES if order == "forward" else ALL_SPEC_NAMES[::-1]
+        cycle = [{}, {"max_size": 3}, {"candidate_cap": 5}]
+        shared = dataclasses.replace(task)
+        for k, name in enumerate(names):
+            kw = cycle[k % len(cycle)] if options == "mixed" else options
+            result = learn(shared, opts(name, **kw))
+            assert result == learn(dataclasses.replace(task), opts(name, **kw)), name
+
+    def test_each_candidate_is_tested_once(self, path_task_full, monkeypatch):
+        tested = []
+        real = engine.coverage
+        monkeypatch.setattr(engine, "coverage",
+                            lambda p, t: tested.append(p) or real(p, t))
+        for name in ALL_SPEC_NAMES:
+            learn(path_task_full, opts(name))
+        programs = [h for h, _cov, _conf in candidate_walk(path_task_full).items]
+        assert tested == programs and len(programs) == 36
+
+    def test_no_candidate_above_the_cap_is_tested(self, trains_task, monkeypatch):
+        real = engine.coverage
+
+        def checked(p, t):
+            assert p.size <= 2
+            return real(p, t)
+
+        monkeypatch.setattr(engine, "coverage", checked)
+        for name in ALL_SPEC_NAMES:
+            learn(trains_task, opts(name, max_size=2))
+        walk = candidate_walk(trains_task)
+        assert walk.items and all(h.size <= 2 for h, _cov, _conf in walk.items)
+
+    def test_walk_is_freed_with_its_task(self, trains_task):
+        # no reference cycle keeps a finished task's walk alive until the
+        # cycle collector runs
+        task = dataclasses.replace(trains_task)
+        learn(task, opts("error"))
+        walk = weakref.ref(candidate_walk(task))
+        gc.disable()
+        try:
+            del task
+            assert walk() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("name", ["errorsize", "fnfpsize", "fpfnsize", "mdl"])
+    def test_nothing_is_drawn_past_an_item_above_the_cap(self, trains_task,
+                                                         path_task_full, name,
+                                                         monkeypatch):
+        # on these tasks the size bound falls below the size of the last
+        # item read, so the run reads no further and draws nothing more
+        drawn = []
+        real = CandidateGenerator.next_candidate
+        monkeypatch.setattr(CandidateGenerator, "next_candidate",
+                            lambda g: drawn.append(1) or real(g))
+        for task in (trains_task, path_task_full):
+            drawn.clear()
+            assert learn(task, opts(name)).stats.generated == len(drawn)
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_failed_test_stays_at_its_index(self, compression_task, order,
+                                            monkeypatch):
+        # `mdl` reads items 0 .. 3 and the other six read items 0 .. 14
+        index = 4
+        names = ALL_SPEC_NAMES if order == "forward" else ALL_SPEC_NAMES[::-1]
+        fresh = {n: learn(dataclasses.replace(compression_task), opts(n))
+                 for n in names}
+        assert [fresh[n].stats.generated > index for n in ALL_SPEC_NAMES] == \
+            [True] * 6 + [False]
+        probe = dataclasses.replace(compression_task)
+        learn(probe, opts("error"))
+        target = candidate_walk(probe).items[index][0]
+        real = engine.coverage
+
+        def failing(p, t):
+            if p == target:
+                raise ResourceLimitError("injected")
+            return real(p, t)
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "coverage", failing)
+            for name in names:
+                if fresh[name].stats.generated > index:
+                    with pytest.raises(ResourceLimitError):
+                        learn(compression_task, opts(name))
+                else:
+                    assert learn(compression_task, opts(name)) == fresh[name]
+        assert len(candidate_walk(compression_task).items) == index
+        # the program left pending is tested again on the next read
+        for name in names:
+            assert learn(compression_task, opts(name)) == fresh[name]
 
 
 class TestZeroCostStop:

@@ -13,7 +13,6 @@ from lexicost.combiner import (
     CombineProblem,
     PromisingEntry,
     _filter_dominated,
-    brute_force_combination,
     optimal_combination,
 )
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS
@@ -21,6 +20,7 @@ from lexicost.engine import LearnOptions, learn
 from lexicost.kb import Program
 from conftest import PLANTED_SHAPES, make_task
 from oracles import (
+    brute_force_combination,
     enumerate_programs,
     exhaustive_best_costs,
     naive_coverage,

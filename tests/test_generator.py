@@ -116,9 +116,13 @@ class TestStream:
         assert list(g1) == list(g2)
 
     def test_size_cap(self):
+        # a run capped at size 2 reads the stream up to its first candidate
+        # above 2: that prefix holds every candidate of size <= 2
         b = bias({("f", 1)}, {("g", 1), ("h", 1)}, max_vars=1, max_body=2)
-        g = CandidateGenerator(b, size_cap=2)
-        assert all(p.size <= 2 for p in g)
+        stream = list(CandidateGenerator(b))
+        cut = next(k for k, p in enumerate(stream) if p.size > 2)
+        assert cut > 0
+        assert stream[:cut] == [p for p in stream if p.size <= 2]
 
     def test_sizes_nondecreasing(self):
         b = bias({("f", 1)}, {("g", 1), ("h", 2)}, max_vars=3, max_body=2)
@@ -138,12 +142,16 @@ class TestStream:
         assert list(CandidateGenerator(b)) == list(CandidateGenerator(b))
 
     def test_tightening_cap_midstream(self):
+        # a cap lowered to the first candidate's size, with that candidate
+        # held as an anchor, cuts the rest of the stream to a prefix
         b = bias({("f", 1)}, {("g", 1), ("h", 2)}, max_vars=3, max_body=3)
         g = CandidateGenerator(b)
         first = g.next_candidate()
         assert first is not None
-        g.set_size_cap(first.size)
-        assert all(p.size <= first.size for p in g)
+        g.add_constraint(prune_specializations(first))
+        rest = list(g)
+        cut = next(k for k, p in enumerate(rest) if p.size > first.size)
+        assert rest[:cut] == [p for p in rest if p.size <= first.size]
 
 
 class TestRuleTable:
@@ -167,12 +175,14 @@ class TestRuleTable:
     ], ids=["plain", "recursive"])
     def test_partial_table_changes_no_stream(self, b):
         fresh = list(CandidateGenerator(dataclasses.replace(b)))  # an equal bias, own table
-        # the capped generator lists sizes 1 .. 3 while holding anchors
-        capped = CandidateGenerator(b, size_cap=3)
-        for i, p in enumerate(capped):
-            assert p.size <= 3
+        # a prefix of the stream, cut at its first candidate of size 3,
+        # lists sizes 1 .. 3 while holding anchors
+        partial = CandidateGenerator(b)
+        for i, p in enumerate(partial):
+            if p.size >= 3:
+                break
             if i % 2 == 0:
-                capped.add_constraint(prune_specializations(p))
+                partial.add_constraint(prune_specializations(p))
         table = rule_table(b, 3)
         assert len(table.ends) == 4
         assert list(CandidateGenerator(b)) == fresh
@@ -229,9 +239,11 @@ FIXTURE_TASKS = ["trains_task", "path_task_full", "clone_noise_task",
 
 
 def _check_against_reference_filter(b: Bias, rng: random.Random) -> None:
-    """Drive a generator with anchors, duplicate anchors and cap cuts added at
-    random points, and check every emitted program against the unconstrained
-    stream filtered by `not any(program_subsumes(a, p) for a in anchors)`."""
+    """Drive a generator with anchors and duplicate anchors added at random
+    points, and check every emitted program against the unconstrained
+    stream filtered by `not any(program_subsumes(a, p) for a in anchors)`,
+    until a size cap lowered at a random point cuts the stream, as it
+    ends a learner's run."""
     full = list(CandidateGenerator(b))
     head = next(iter(b.head_preds))
     body = sorted(b.body_preds)
@@ -240,13 +252,11 @@ def _check_against_reference_filter(b: Bias, rng: random.Random) -> None:
     cap = b.max_program_size
     i = 0
     while True:
-        while i < len(full) and (
-            full[i].size > cap or any(program_subsumes(a, full[i]) for a in anchors)
-        ):
+        while i < len(full) and any(program_subsumes(a, full[i]) for a in anchors):
             i += 1
         expected = full[i] if i < len(full) else None
         assert gen.next_candidate() == expected
-        if expected is None:
+        if expected is None or expected.size > cap:
             return
         i += 1
         roll = rng.random()
@@ -266,7 +276,6 @@ def _check_against_reference_filter(b: Bias, rng: random.Random) -> None:
             anchors.append(anchor)
         if rng.random() < 0.005:
             cap = min(cap, expected.size + rng.randint(0, 2))
-            gen.set_size_cap(cap)
 
 
 class TestReferenceFilter:

@@ -15,6 +15,7 @@ from lexicost.kb import (
     Bias,
     Program,
     Rule,
+    Task,
     atom,
     is_var,
     parse_bias,
@@ -23,7 +24,6 @@ from lexicost.kb import (
     parse_program,
     parse_rule,
     parse_task,
-    program_size,
     render_program,
 )
 from oracles import random_program
@@ -76,6 +76,14 @@ class TestParseTask:
         with pytest.raises(ParseError):
             parse_task("edge(a,X).", "pos(f(a)).", "head_pred(f,1).")
 
+    def test_non_ground_fact_in_code_has_no_position(self):
+        # a `Task` built in code has no input text to point into
+        b = parse_bias("head_pred(f,1). body_pred(p,1).")
+        with pytest.raises(ParseError) as err:
+            Task(frozenset({atom("p", "X")}), (atom("f", "a"),), (), b)
+        assert (err.value.line, err.value.col) == (None, None)
+        assert str(err.value) == "background fact is not ground: p(X)"
+
     def test_comments_and_whitespace(self):
         task = parse_task(
             "% background\n  edge( a , b ).\n",
@@ -123,20 +131,20 @@ class TestTerms:
 
 class TestProgramSize:
     def test_single_rule(self):
-        assert program_size(parse_program("h(X):- b1(X),b2(X).")) == 3
+        assert parse_program("h(X):- b1(X),b2(X).").size == 3
 
     def test_two_rules_additive(self):
         p = parse_program("h(X):- b1(X),b2(X).\nh(X):- b1(X),b2(X),b3(X).")
-        assert program_size(p) == 7
+        assert p.size == 7
 
     def test_empty_program(self):
-        assert program_size(Program()) == 0
+        assert Program().size == 0
 
     def test_invariant_under_renaming_and_order(self):
         p1 = parse_program("h(X):- b1(X),b2(X,Y).")
         p2 = parse_program("h(Q):- b2(Q,R),b1(Q).")
         assert p1 == p2
-        assert program_size(p1) == program_size(p2)
+        assert p1.size == p2.size
 
 
 class TestRender:
