@@ -3,7 +3,8 @@
 Which candidates exist, what they cover and which are pruned depend on the
 task alone, so one `CandidateWalk` per task, kept on the `Task` like its
 fact store, draws and tests each candidate once for every `learn` call on
-the task; a candidate covering no positive prunes its specialisations.
+the task; a candidate covering no positive prunes its specialisations.  It
+draws one program size at a time, so no size above a run's cap is listed.
 
 Each candidate is tested standalone and may update the best hypothesis
 directly (this is how recursive solutions are found).  Non-recursive
@@ -15,8 +16,9 @@ and only one that evicts a selected entry makes the learner solve the whole
 pool again with `optimal_combination`; `LearnStats` counts the first and last
 kinds.  The union is built only when the selection changes.  When the cost
 function charges for size, the run's size cap shrinks as the best cost
-improves; the run ends at the first item above it, and the end of the
-stream within the cap proves global optimality over the bias-defined space.
+improves; the run ends where the walk has no item within it, and the end
+of the stream within the cap proves global optimality over the bias-defined
+space.
 
 The loop also stops, with the same proof, as soon as the best cost is all
 zeros: every cost component is a sum of non-negative counts, so nothing can
@@ -122,34 +124,34 @@ def _admissible(
 
 class CandidateWalk:
     """One uncapped `CandidateGenerator` over the task's bias and the items
-    `(program, coverage, confusion)` drawn from it so far.  A candidate is
-    tested on its first read; one whose test raises stays pending at its
+    `(program, coverage, confusion)` drawn from it so far.  A program is
+    drawn as an untested item `(program, None, None)` and tested by the
+    first read that admits it; one whose test raises stays untested at its
     index, and the next read tests it again.  The walk holds no reference
     to its task, so a task and its walk are freed as soon as the task goes."""
 
     def __init__(self, bias: Bias):
-        self.items: list[tuple[Program, Coverage, Confusion]] = []
+        self.items: list[tuple[Program, Coverage | None, Confusion | None]] = []
         self._gen = CandidateGenerator(bias)
-        self._pending: Program | None = None
 
     def read(self, t: Task, i: int, max_size: int) -> tuple[Program, Coverage, Confusion] | None:
         """Item i of task t's walk (runs read 0, 1, 2, ... in order), or None
-        when the stream ends first or the item is larger than `max_size`."""
-        items = self.items
-        # sizes never decrease: past an item above the cap, draw nothing
-        if i == len(items) and (not items or items[-1][0].size <= max_size):
-            if self._pending is None:
-                self._pending = self._gen.next_candidate()
-            h = self._pending
-            if h is None or h.size > max_size:
-                return None
+        when it has no item i of size <= `max_size`.  Nothing is drawn above
+        `max_size`, which must not exceed the bias's largest program size."""
+        items, gen = self.items, self._gen
+        while i == len(items) and gen.size <= max_size:
+            if (h := gen.next_candidate()) is not None:
+                items.append((h, None, None))
+        if i == len(items) or items[i][0].size > max_size:
+            return None
+        h, cov, conf = items[i]
+        if cov is None:
             cov = coverage(h, t)
             conf = confusion(cov, t)
             if conf.tp == 0:
-                self._gen.add_constraint(prune_specializations(h))
-            items.append((h, cov, conf))
-            self._pending = None
-        return items[i] if i < len(items) and items[i][0].size <= max_size else None
+                gen.add_constraint(prune_specializations(h))
+            items[i] = (h, cov, conf)
+        return h, cov, conf
 
 
 def candidate_walk(t: Task) -> CandidateWalk:
@@ -162,7 +164,8 @@ def candidate_walk(t: Task) -> CandidateWalk:
 def learn(t: Task, o: LearnOptions) -> LearnResult:
     spec = o.spec
     walk = candidate_walk(t)
-    cap = t.bias.max_program_size if o.max_size is None else o.max_size
+    bias_cap = t.bias.max_program_size
+    cap = bias_cap if o.max_size is None else min(o.max_size, bias_cap)
 
     stats = LearnStats()
     n_pos, n_neg = len(t.pos), len(t.neg)

@@ -190,8 +190,6 @@ def enumerate_rules(bias: Bias, body_len: int) -> list[Rule]:
             if not head_ids <= body_vars:
                 continue
             rule = Rule(head, tuple(pool[i][0] for i in combo))
-            if len(rule.body) != body_len:  # duplicate literals collapsed
-                continue
             if _rule_redundant(rule):
                 continue
             out.add(rule)
@@ -205,7 +203,7 @@ class RuleTable:
     rules: list[Rule] = field(default_factory=list)
     # ends[s]: the number of rules of size <= s, for each size interned so far
     ends: list[int] = field(default_factory=lambda: [0, 0])
-    # candidates[s]: `list_candidates(bias, s)`, for each size listed so far
+    # candidates[s]: the candidate list of size s, for each size listed so far
     candidates: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
 
 
@@ -248,47 +246,46 @@ def list_candidates(bias: Bias, size: int) -> list[tuple[int, ...]]:
     unions of up to `max_clauses` rules in which no rule theta-subsumes
     another; each must have only rules that can fire.  Since ids follow
     `Rule.sort_key`, the list is in the order of the programs' rule sort
-    keys.  No anchor or size cap filters it.
+    keys.  No anchor or size cap filters it.  A size is listed once per
+    bias, and the list is kept in the rule table for every generator over
+    the bias.
     """
-    rules = rule_table(bias, size).rules
-    slots = bias.max_clauses if bias.enable_recursion else 1
-    listed = []
-    for ids in _unions([r.size for r in rules], 0, size, slots):
-        chosen = [rules[i] for i in ids]
-        if _all_rules_can_fire(chosen, bias.body_preds) and not _one_subsumes_another(chosen):
-            listed.append(ids)
-    return listed
-
-
-def candidate_ids(bias: Bias, size: int) -> list[tuple[int, ...]]:
-    """`list_candidates(bias, size)`, listed once and kept in the rule table
-    for every generator over the bias."""
-    candidates = rule_table(bias, size).candidates
-    if size not in candidates:
-        candidates[size] = list_candidates(bias, size)
-    return candidates[size]
+    table = rule_table(bias, size)
+    if size not in table.candidates:
+        rules = table.rules
+        slots = bias.max_clauses if bias.enable_recursion else 1
+        listed = []
+        for ids in _unions([r.size for r in rules], 0, size, slots):
+            chosen = [rules[i] for i in ids]
+            if _all_rules_can_fire(chosen, bias.body_preds) and not _one_subsumes_another(chosen):
+                listed.append(ids)
+        table.candidates[size] = listed
+    return table.candidates[size]
 
 
 class CandidateGenerator:
     """Stateful filter over the bias's candidate lists; single-owner (the
     engine keeps one per task, in its `CandidateWalk`).
 
-    The generator walks `candidate_ids` size by size, up to the bias's
-    largest program, and builds a `Program` only for a candidate that it
-    emits.  Specialisation anchors are numbered in arrival order, and for
-    each rule id the generator keeps a bitset over anchor numbers: bit k
-    is set iff some rule of anchor k theta-subsumes that rule.
-    A program is blocked iff some anchor subsumes every one of its rules,
-    i.e. iff the AND of its rules' bitsets is non-zero.  Bitsets are
-    extended lazily, when a candidate containing the rule reaches the check,
-    so each (anchor, rule) pair is tested at most once.
+    The generator steps one size at a time: `next_candidate` returns None
+    where the list of the current `size` runs out and then moves to the next
+    size, so no size is listed before its owner draws from it.  Iterating
+    the generator yields the whole stream, up to the bias's largest program.
+    A `Program` is built only for a candidate that is emitted.
+    Specialisation anchors are numbered in arrival order, and for each rule
+    id the generator keeps a bitset over anchor numbers: bit k is set iff
+    some rule of anchor k theta-subsumes that rule.  A program is blocked
+    iff some anchor subsumes every one of its rules, i.e. iff the AND of its
+    rules' bitsets is non-zero.  Bitsets are extended lazily, when a
+    candidate containing the rule reaches the check, so each (anchor, rule)
+    pair is tested at most once.
     """
 
     def __init__(self, bias: Bias):
         self.bias = bias
         self._anchors: list[Program] = []
-        # the current size, and the rest of its list (None until it is reached)
-        self._size = 1
+        # the size drawn from, and the rest of its list (None until drawn from)
+        self.size = 1
         self._listed: Iterator[tuple[int, ...]] | None = None
         # shared with every generator over the bias; extended in place
         self._rules = rule_table(bias, 0).rules
@@ -304,26 +301,25 @@ class CandidateGenerator:
     # -- stream -------------------------------------------------------------
 
     def next_candidate(self) -> Program | None:
-        """The next constraint-consistent candidate, or None when exhausted.
-
-        Programs are unique by construction, so none is emitted twice.
-        """
-        while self._size <= self.bias.max_program_size:
-            if self._listed is None:
-                self._listed = iter(candidate_ids(self.bias, self._size))
-                grow = len(self._rules) - len(self._subsumed_by)
-                self._subsumed_by += [0] * grow
-                self._anchors_tested += [0] * grow
-            for ids in self._listed:
-                if not self._blocked(ids):
-                    return Program(self._rules[i] for i in ids)
-            self._size += 1
-            self._listed = None
+        """The next unblocked candidate of size `size`, or None when that size
+        has none left, which moves `size` to the next size.  Programs are
+        unique by construction, so none is emitted twice."""
+        if self._listed is None:
+            self._listed = iter(list_candidates(self.bias, self.size))
+            grow = len(self._rules) - len(self._subsumed_by)
+            self._subsumed_by += [0] * grow
+            self._anchors_tested += [0] * grow
+        for ids in self._listed:
+            if not self._blocked(ids):
+                return Program(self._rules[i] for i in ids)
+        self.size += 1
+        self._listed = None
         return None
 
     def __iter__(self):
-        while (p := self.next_candidate()) is not None:
-            yield p
+        while self.size <= self.bias.max_program_size:
+            if (p := self.next_candidate()) is not None:
+                yield p
 
     def _blocked(self, ids: tuple[int, ...]) -> bool:
         n_anchors = len(self._anchors)

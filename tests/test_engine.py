@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from lexicost import combiner, engine
+from lexicost import combiner, engine, generator
 from lexicost.combiner import FULL, SKIP, CombinePool, optimal_combination
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS, evaluate, parse_cost_spec
 from lexicost.engine import (
@@ -109,14 +109,15 @@ class TestLoopBehaviour:
     @pytest.mark.parametrize("name", ALL_SPEC_NAMES)
     def test_constraint_and_filter_neutrality(self, fixture, name, request,
                                               monkeypatch):
-        """Specialisation pruning, the combiner's dominance filter and the
+        """Specialisation pruning, the combiner's dominance test and the
         size bound change no cost: with each patched out, the cost holds.
-        Each switch runs on a fresh task, whose walk is made under it."""
+        With no entry dominating another, the pool keeps and searches every
+        entry.  Each switch runs on a fresh task, whose walk is made under it."""
         task = request.getfixturevalue(fixture)
         reference = learn(task, opts(name)).cost
         switches = {
             "pruning": (CandidateGenerator, "add_constraint", lambda self, c: None),
-            "filter": (combiner, "_filter_dominated", list),
+            "filter": (combiner, "_dominates", lambda e1, e2: False),
             "size_bound": (engine, "generator_size_bound", lambda spec, cost: None),
         }
         for off in (["pruning"], ["filter"], ["pruning", "filter"], ["size_bound"]):
@@ -220,6 +221,23 @@ class TestCandidateWalk:
         walk = candidate_walk(trains_task)
         assert walk.items and all(h.size <= 2 for h, _cov, _conf in walk.items)
 
+    @pytest.mark.parametrize("fixture", FIXTURE_TASKS)
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_no_size_above_the_cap_is_listed(self, fixture, k, request, monkeypatch):
+        # each run is on a bias of its own, so it lists every size it reaches
+        task = request.getfixturevalue(fixture)
+        if fixture == "path_task_split":
+            task = task[0]
+        listed = []
+        real = generator.list_candidates
+        monkeypatch.setattr(generator, "list_candidates",
+                            lambda b, size: listed.append(size) or real(b, size))
+        for name in ALL_SPEC_NAMES:
+            listed.clear()
+            own = dataclasses.replace(task, bias=dataclasses.replace(task.bias))
+            learn(own, opts(name, max_size=k))
+            assert max(listed, default=0) <= k, name
+
     def test_walk_is_freed_with_its_task(self, trains_task):
         # no reference cycle keeps a finished task's walk alive until the
         # cycle collector runs
@@ -241,8 +259,14 @@ class TestCandidateWalk:
         # item read, so the run reads no further and draws nothing more
         drawn = []
         real = CandidateGenerator.next_candidate
-        monkeypatch.setattr(CandidateGenerator, "next_candidate",
-                            lambda g: drawn.append(1) or real(g))
+
+        def draw(g):
+            p = real(g)
+            if p is not None:
+                drawn.append(p)
+            return p
+
+        monkeypatch.setattr(CandidateGenerator, "next_candidate", draw)
         for task in (trains_task, path_task_full):
             drawn.clear()
             assert learn(task, opts(name)).stats.generated == len(drawn)
@@ -275,8 +299,9 @@ class TestCandidateWalk:
                         learn(compression_task, opts(name))
                 else:
                     assert learn(compression_task, opts(name)) == fresh[name]
-        assert len(candidate_walk(compression_task).items) == index
-        # the program left pending is tested again on the next read
+        # the faulting program stays untested at its index
+        assert candidate_walk(compression_task).items[index:] == [(target, None, None)]
+        # and is tested again on the next read
         for name in names:
             assert learn(compression_task, opts(name)) == fresh[name]
 

@@ -5,6 +5,7 @@ import pytest
 
 from lexicost.generator import (
     CandidateGenerator,
+    enumerate_rules,
     is_redundant,
     program_subsumes,
     prune_specializations,
@@ -96,6 +97,22 @@ class TestStream:
         stream = [render_program(p) for p in g]
         assert stream == ["f(A):- g(A)."]
 
+    @pytest.mark.parametrize("recursion", [False, True])
+    def test_next_candidate_steps_one_size_at_a_time(self, recursion):
+        # a None ends each size and moves `size` on; the draws between two
+        # Nones are that size's candidates, and together they are the stream
+        b = bias({("f", 1)}, {("e", 2), ("g", 1)}, max_vars=2, max_body=3,
+                 max_clauses=2, recursion=recursion)
+        g = CandidateGenerator(b)
+        drawn = []
+        for size in range(1, b.max_program_size + 1):
+            assert g.size == size
+            while (p := g.next_candidate()) is not None:
+                assert p.size == size
+                drawn.append(p)
+        assert g.size == b.max_program_size + 1
+        assert drawn == list(CandidateGenerator(b))
+
     def test_specialization_constraint_blocks_stream(self):
         b = bias({("f", 1)}, {("g", 1), ("h", 1)}, max_vars=1, max_body=2)
         g = CandidateGenerator(b)
@@ -146,10 +163,10 @@ class TestStream:
         # held as an anchor, cuts the rest of the stream to a prefix
         b = bias({("f", 1)}, {("g", 1), ("h", 2)}, max_vars=3, max_body=3)
         g = CandidateGenerator(b)
-        first = g.next_candidate()
-        assert first is not None
+        stream = iter(g)
+        first = next(stream)
         g.add_constraint(prune_specializations(first))
-        rest = list(g)
+        rest = list(stream)
         cut = next(k for k, p in enumerate(rest) if p.size > first.size)
         assert rest[:cut] == [p for p in rest if p.size <= first.size]
 
@@ -217,6 +234,13 @@ TINY_BIASES = [
 
 class TestCompleteness:
     @pytest.mark.parametrize("b", TINY_BIASES, ids=range(len(TINY_BIASES)))
+    def test_rules_have_the_asked_body_length(self, b):
+        # a combination picks distinct literals and canonical naming is a
+        # renaming, so no body collapses below its length
+        for n in range(1, b.max_body + 1):
+            assert all(len(r.body) == n for r in enumerate_rules(b, n))
+
+    @pytest.mark.parametrize("b", TINY_BIASES, ids=range(len(TINY_BIASES)))
     def test_stream_matches_independent_enumeration(self, b):
         stream = list(CandidateGenerator(b))
         assert len(stream) == len(set(stream)), "stream emitted a duplicate"
@@ -248,6 +272,7 @@ def _check_against_reference_filter(b: Bias, rng: random.Random) -> None:
     head = next(iter(b.head_preds))
     body = sorted(b.body_preds)
     gen = CandidateGenerator(b)
+    stream = iter(gen)
     anchors: list[Program] = []
     cap = b.max_program_size
     i = 0
@@ -255,7 +280,7 @@ def _check_against_reference_filter(b: Bias, rng: random.Random) -> None:
         while i < len(full) and any(program_subsumes(a, full[i]) for a in anchors):
             i += 1
         expected = full[i] if i < len(full) else None
-        assert gen.next_candidate() == expected
+        assert next(stream, None) == expected
         if expected is None or expected.size > cap:
             return
         i += 1
@@ -297,7 +322,7 @@ class TestReferenceFilter:
         # the specialisations of every candidate that covers no positive
         gen = CandidateGenerator(path_task_full.bias)
         n = 0
-        while (h := gen.next_candidate()) is not None:
+        for h in gen:
             n += 1
             if coverage(h, path_task_full).pos_bits == 0:
                 gen.add_constraint(prune_specializations(h))
