@@ -52,7 +52,7 @@ from .evaluator import (
     coverage_of_examples,
 )
 from .generator import CandidateGenerator, prune_specializations
-from .kb import EMPTY_PROGRAM, Atom, Bias, Program, Task, validate_example
+from .kb import EMPTY_PROGRAM, Atom, Bias, Program, Task, kept, validate_example
 
 PROOF_OPTIMAL = "optimal"
 PROOF_CAP_EXHAUSTED = "cap-exhausted"
@@ -156,9 +156,7 @@ class CandidateWalk:
 
 def candidate_walk(t: Task) -> CandidateWalk:
     """The task's walk, made by the first call and kept on the task."""
-    if "_candidate_walk" not in t.__dict__:
-        object.__setattr__(t, "_candidate_walk", CandidateWalk(t.bias))
-    return t.__dict__["_candidate_walk"]
+    return kept(t, "_candidate_walk", lambda: CandidateWalk(t.bias))
 
 
 def learn(t: Task, o: LearnOptions) -> LearnResult:

@@ -21,9 +21,10 @@ Coverage takes one of two paths:
   atom per example, and only those atoms count against `max_atoms`.
 - Semi-naive otherwise, as is `least_model` for every program.  The derived
   relations live in a per-call overlay on the store; their indexes are
-  extended as atoms arrive, and after the first round a rule fires only
-  through a body literal that reads an atom of the previous round.  Every
-  derived atom counts against `max_atoms`.
+  extended as atoms arrive.  After the first round a rule fires only through
+  a body literal that reads an atom of the previous round, and each round
+  plans those delta joins when it runs.  Every derived atom counts against
+  `max_atoms`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import LengthMismatchError, LexicostError, ResourceLimitError
-from .kb import Atom, Program, Rule, Task, is_var
+from .kb import Atom, Program, Rule, Task, is_var, kept
 
 DEFAULT_ATOM_CAP = 10_000_000
 
@@ -133,18 +134,14 @@ def _store_of(facts: Iterable[Atom]) -> _Store:
 
 def fact_store(t: Task) -> _Store:
     """The task's fact store, built by the first call and kept on the task."""
-    store = t.__dict__.get("_fact_store")
-    if store is None:
-        store = _store_of(t.bk_facts)
-        object.__setattr__(t, "_fact_store", store)
-    return store
+    return kept(t, "_fact_store", lambda: _store_of(t.bk_facts))
 
 
 def with_examples(t: Task, pos: tuple[Atom, ...], neg: tuple[Atom, ...]) -> Task:
     """A task with `t`'s background and bias but other examples, sharing
     `t`'s fact store (built now if `t` has none yet)."""
     out = replace(t, pos=pos, neg=neg)
-    object.__setattr__(out, "_fact_store", fact_store(t))
+    kept(out, "_fact_store", lambda: fact_store(t))
     return out
 
 
@@ -160,10 +157,7 @@ class _CompiledRule(NamedTuple):
     head: tuple[int, ...]
     body: tuple[tuple[_Key, tuple[int, ...]], ...]
     template: tuple[str | None, ...]  # constant per slot; None for a variable
-
-    @property
-    def constant_slots(self) -> set[int]:
-        return {s for s, c in enumerate(self.template) if c is not None}
+    constant_slots: frozenset[int]
 
 
 def _compile_rule(rule: Rule) -> _CompiledRule:
@@ -188,7 +182,8 @@ def _compile_rule(rule: Rule) -> _CompiledRule:
             f"rule is not range-restricted (head variable missing from body): {rule}"
         )
     return _CompiledRule((rule.head.predicate, rule.head.arity), head, body,
-                         tuple(template))
+                         tuple(template),
+                         frozenset(s for s, c in enumerate(template) if c is not None))
 
 
 def _split(slots: tuple[int, ...], bound: set[int]):
@@ -209,21 +204,22 @@ def _split(slots: tuple[int, ...], bound: set[int]):
     return positions, tuple(binds), tuple(repeats)
 
 
-def _plan(body, bound: set[int], relations: _Store,
-          first: int | None = None) -> list[tuple]:
+def _plan(body, bound: Iterable[int], relations: _Store,
+          delta: tuple[int, _Relation] | None = None) -> list[tuple]:
     """Order the body for a join from the slots bound before it.  A step is
-    (relation key, bound positions, probe key getter, binds, repeats).
+    (index, probe key getter, binds, repeats); see `_join`.
 
-    `first` (the literal that reads the previous round's delta) leads.  Then
-    at each step: a literal with no free argument, else the one with most
-    bound arguments, else the one over the smallest relation.
+    `delta` is (literal, relation): that literal leads and reads that
+    relation, the atoms new in the previous round.  Then at each step: a
+    literal with no free argument, else the one with most bound arguments,
+    else the one over the smallest relation.
     """
     bound = set(bound)
     remaining = list(range(len(body)))
     steps = []
     while remaining:
-        if first in remaining:
-            i = first
+        if delta and delta[0] in remaining:
+            i = delta[0]
         else:
             def rank(j):
                 n_bound = sum(s in bound for s in body[j][1])
@@ -233,19 +229,20 @@ def _plan(body, bound: set[int], relations: _Store,
             i = min(remaining, key=rank)
         remaining.remove(i)
         key, slots = body[i]
+        rel = delta[1] if delta and i == delta[0] else relations[key]
         positions, binds, repeats = _split(slots, bound)
         probe = _getter(tuple(slots[p] for p in positions))
-        steps.append((key, positions, probe, binds, repeats))
+        steps.append((rel.index(positions), probe, binds, repeats))
     return steps
 
 
 def _join(steps, env: list, i: int = 0):
     """Yield True once per extension of `env` satisfying `steps[i:]`.
 
-    A resolved step is (index, probe, binds, repeats): the index rows under
-    the probe key read off `env` bind the step's free slots, and `repeats`
-    checks a slot that occurs twice in the literal.  Slots bound by a step
-    are only read by later steps, so backtracking needs no undo.
+    A step is (index, probe, binds, repeats): the index rows under the probe
+    key read off `env` bind the step's free slots, and `repeats` checks a
+    slot that occurs twice in the literal.  Slots bound by a step are only
+    read by later steps, so backtracking needs no undo.
     """
     if i == len(steps):
         yield True
@@ -256,17 +253,6 @@ def _join(steps, env: list, i: int = 0):
             env[s] = row[p]
         if not repeats or all(row[p] == env[s] for p, s in repeats):
             yield from _join(steps, env, i + 1)
-
-
-def _resolve(steps: list[tuple], relations: _Store,
-             delta: _Relation | None = None) -> list:
-    """Bind a plan to concrete indexes; `delta`, if given, serves the first
-    step."""
-    out = []
-    for n, (key, positions, probe, binds, repeats) in enumerate(steps):
-        rel = delta if n == 0 and delta is not None else relations[key]
-        out.append((rel.index(positions), probe, binds, repeats))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +266,10 @@ def _goal_directed(rules: list[_CompiledRule], store: _Store, max_atoms: int):
     has a solution."""
     by_head: dict[_Key, list] = {}
     for r in rules:
-        bound = r.constant_slots
+        bound = set(r.constant_slots)
         constants, binds, repeats = _split(r.head, bound)
         checks = repeats + tuple((p, r.head[p]) for p in constants)
-        steps = _resolve(_plan(r.body, bound, store), store)
+        steps = _plan(r.body, bound, store)
         by_head.setdefault(r.head_key, []).append(
             (list(r.template), binds, checks, steps)
         )
@@ -316,28 +302,30 @@ def _goal_directed(rules: list[_CompiledRule], store: _Store, max_atoms: int):
 
 def _fixpoint(rules: list[_CompiledRule], store: _Store, max_atoms: int) -> _Store:
     """The least model, as the store's relations overlaid with copies of the
-    derived (head) relations; the store itself is left unchanged."""
+    derived (head) relations; the store itself is left unchanged.
+
+    Round 0 runs every rule over the initial relations.  Each later round
+    runs each rule once per body literal on a relation that grew in the
+    previous round, with that literal reading only the new atoms."""
     relations = defaultdict(_Relation, store)
-    derived_keys = {r.head_key for r in rules}
-    for key in derived_keys:
+    for key in {r.head_key for r in rules}:
         relations[key] = _Relation(store[key].tuples if key in store else ())
-
-    # the first round runs every rule over the initial relations; later
-    # rounds run each rule once per body literal on a derived relation, with
-    # that literal reading only the atoms new in the previous round
-    first_round = []
-    later = []
-    for r in rules:
-        consts = r.constant_slots
-        first_round.append((r, _resolve(_plan(r.body, consts, relations), relations)))
-        for i, (key, _slots) in enumerate(r.body):
-            if key in derived_keys:
-                later.append((r, key, _plan(r.body, consts, relations, first=i)))
-
     count = 0
-
-    def insert(new: dict[_Key, set]) -> dict[_Key, _Relation]:
-        nonlocal count
+    delta: dict[_Key, _Relation] | None = None
+    while delta is None or delta:
+        new: dict[_Key, set] = {}
+        for r in rules:
+            if delta is None:
+                plans = [_plan(r.body, r.constant_slots, relations)]
+            else:
+                plans = [_plan(r.body, r.constant_slots, relations, (i, delta[key]))
+                         for i, (key, _slots) in enumerate(r.body) if key in delta]
+            env = list(r.template)
+            head_of = _row_getter(r.head)
+            out = new.setdefault(r.head_key, set())
+            for steps in plans:
+                for _ in _join(steps, env):
+                    out.add(head_of(env))
         delta = {}
         for key, rows in new.items():
             fresh = [row for row in rows if relations[key].add(row)]
@@ -348,25 +336,6 @@ def _fixpoint(rules: list[_CompiledRule], store: _Store, max_atoms: int) -> _Sto
                 )
             if fresh:
                 delta[key] = _Relation(fresh)
-        return delta
-
-    def fire(r: _CompiledRule, steps, new: dict[_Key, set]) -> None:
-        env = list(r.template)
-        head_of = _row_getter(r.head)
-        out = new.setdefault(r.head_key, set())
-        for _ in _join(steps, env):
-            out.add(head_of(env))
-
-    new: dict[_Key, set] = {}
-    for r, steps in first_round:
-        fire(r, steps, new)
-    delta = insert(new)
-    while delta:
-        new = {}
-        for r, key, plan in later:
-            if key in delta:
-                fire(r, _resolve(plan, relations, delta[key]), new)
-        delta = insert(new)
     return relations
 
 

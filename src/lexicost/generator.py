@@ -16,7 +16,7 @@ import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
-from .kb import Atom, Bias, Program, Rule, is_var, variable_name
+from .kb import Atom, Bias, Program, Rule, is_var, kept, variable_name
 
 
 @dataclass(frozen=True)
@@ -215,10 +215,7 @@ def rule_table(bias: Bias, max_size: int) -> RuleTable:
     same rule ids.  Sizes are interned smallest first, so ids follow
     `Rule.sort_key` and the rules of size <= s are ids 0 .. ends[s]-1.
     """
-    table = bias.__dict__.get("_rule_table")
-    if table is None:
-        table = RuleTable()
-        object.__setattr__(bias, "_rule_table", table)
+    table = kept(bias, "_rule_table", RuleTable)
     while len(table.ends) <= min(max_size, 1 + bias.max_body):
         table.rules.extend(enumerate_rules(bias, len(table.ends) - 1))
         table.ends.append(len(table.rules))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import (
     ArityMismatchError,
@@ -185,6 +185,11 @@ class Bias:
     def __post_init__(self):
         if not self.head_preds:
             raise InvalidBiasValueError("at least one head_pred is required")
+        for name, arity in sorted(self.head_preds):
+            if arity < 1:
+                raise InvalidBiasValueError(
+                    f"head_pred {name} must have arity >= 1, got {arity}"
+                )
         for name, bound in (("max_vars", self.max_vars),
                             ("max_body", self.max_body),
                             ("max_clauses", self.max_clauses)):
@@ -221,6 +226,17 @@ class Task:
                 )
         for a in itertools.chain(self.pos, self.neg):
             validate_example(a, self.bias)
+
+
+_T = TypeVar("_T")
+
+
+def kept(obj, name: str, make: Callable[[], _T]) -> _T:
+    """`obj`'s attribute `name`, made by `make()` on the first call and kept
+    on the frozen `obj` (a `Task` or a `Bias`) for every later call."""
+    if name not in obj.__dict__:
+        object.__setattr__(obj, name, make())
+    return obj.__dict__[name]
 
 
 def validate_example(a: Atom, bias: Bias) -> None:

@@ -3,8 +3,9 @@
 Deliberately written from first principles rather than reusing package
 internals: naive repeat-until-fixpoint model computation, a recursive
 hypothesis-space enumerator with its own canonicalisation and subsumption,
-a 2^n subset enumeration of combine problems with its own cost arithmetic,
-and a 2^n sign-enumeration signed-rank p-value.
+a 2^n subset enumeration of combine problems with its own cost arithmetic
+and its own dominance filter, and a 2^n sign-enumeration signed-rank
+p-value.
 """
 
 from __future__ import annotations
@@ -284,6 +285,33 @@ COST_LEVELS = {
     "fpfnsize": (("fp",), ("fn",), ("size",)),
     "mdl": (("fp", "fn", "size"),),
 }
+
+
+def _examples(bits: int) -> set[int]:
+    return {i for i in range(bits.bit_length()) if bits >> i & 1}
+
+
+def non_dominated(entries) -> list:
+    """The entries that no other entry dominates, in id order.
+
+    As README ("How the combine search works") defines it, f dominates e
+    when f covers every positive that e covers and no negative that e does
+    not, with no more literals and no more rules.  Of two entries with the
+    same coverage and literal count, only the smaller id can dominate.
+    """
+    def dominates(f, e) -> bool:
+        if not (_examples(f.pos_bits) >= _examples(e.pos_bits)
+                and _examples(f.neg_bits) <= _examples(e.neg_bits)
+                and f.size <= e.size and f.rules <= e.rules):
+            return False
+        tie = (_examples(f.pos_bits) == _examples(e.pos_bits)
+               and _examples(f.neg_bits) == _examples(e.neg_bits)
+               and f.size == e.size)
+        return not tie or f.id < e.id
+
+    return sorted((e for e in entries
+                   if not any(f is not e and dominates(f, e) for f in entries)),
+                  key=lambda e: e.id)
 
 
 class TooLargeError(LexicostError):

@@ -220,6 +220,32 @@ class TestLearnCommand:
         )))
         assert [r.status for r in rows] == ["error"]
 
+    def test_head_pred_of_arity_zero_exit_2(self, tmp_path, capsys):
+        # `f:- q.` covers the positive, but a head without arguments
+        # connects to no body literal, so the generator's space is empty
+        d = tmp_path / "task"
+        d.mkdir()
+        (d / "bk.datalog").write_text("q. r(a).")
+        (d / "exs.datalog").write_text("pos(f).")
+        (d / "bias.txt").write_text("head_pred(f,0). body_pred(q,0). body_pred(r,1).")
+        code = main([
+            "learn",
+            "--bk", str(d / "bk.datalog"),
+            "--exs", str(d / "exs.datalog"),
+            "--bias", str(d / "bias.txt"),
+            "--cost", "error",
+        ])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err == "error: head_pred f must have arity >= 1, got 0\n"
+
+        rows = read_results_csv(run_bench(SuiteConfig(
+            root_dir=tmp_path, cost_fns=("error",), repeats=1, timing=False
+        )))
+        assert [r.status for r in rows] == ["error"]
+
     def test_dump_combine(self, trains_dir, tmp_path, capsys):
         dump = tmp_path / "combine.txt"
         code = main([

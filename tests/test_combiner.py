@@ -11,7 +11,6 @@ from lexicost.combiner import (
     CombinePool,
     CombineProblem,
     PromisingEntry,
-    _filter_dominated,
     dump_problem,
     optimal_combination,
     parse_problem,
@@ -19,7 +18,7 @@ from lexicost.combiner import (
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS, evaluate, parse_cost_spec
 from lexicost.errors import ParseError
 from lexicost.evaluator import string_to_bits
-from oracles import TooLargeError, brute_force_combination
+from oracles import TooLargeError, brute_force_combination, non_dominated
 
 DATA = Path(__file__).parent / "data"
 
@@ -38,7 +37,7 @@ def solved_over_non_dominated(p):
     """`brute_force_combination` over the entries `optimal_combination`
     searches."""
     return brute_force_combination(CombineProblem(
-        tuple(_filter_dominated(p.entries)), p.n_pos, p.n_neg, p.spec,
+        tuple(non_dominated(p.entries)), p.n_pos, p.n_neg, p.spec,
         max_rules=p.max_rules))
 
 
@@ -321,6 +320,31 @@ class TestCombinePool:
                     (oracle.selected, oracle.cost), (trial, i)
                 assert pool.solution == optimal_combination(pool.problem())
         assert seen == {SKIP, FORCED, FULL}
+
+    def test_front_is_the_non_dominated_set(self):
+        # budgeted pools of multi-rule entries in which many arrivals tie
+        # with an earlier entry in coverage and size, with fewer, as many or
+        # more rules
+        rng = random.Random(51)
+        for trial in range(150):
+            spec = NAMED_SPECS[ALL_SPEC_NAMES[trial % len(ALL_SPEC_NAMES)]]
+            n_pos, n_neg = rng.randint(1, 4), rng.randint(0, 4)
+            pool = CombinePool(n_pos, n_neg, spec,
+                               max_rules=rng.choice((None, 1, 2, 3)))
+            for i in range(rng.randint(1, 14)):
+                if pool.entries and rng.random() < 0.4:
+                    f = rng.choice(pool.entries)
+                    e = PromisingEntry(id=i, rules=rng.randint(1, 3),
+                                       pos_bits=f.pos_bits, neg_bits=f.neg_bits,
+                                       size=f.size)
+                else:
+                    e = entry(i, rng.randint(2, 4),
+                              "".join(rng.choice("01") for _ in range(n_pos)),
+                              "".join(rng.choice("01") for _ in range(n_neg)),
+                              rules=rng.randint(1, 3))
+                if pool.insert(e) == FULL:
+                    pool.solution = optimal_combination(pool.problem())
+                assert pool.front == non_dominated(pool.entries), (trial, i)
 
 
 class TestGoldenPools:

@@ -12,7 +12,6 @@ import pytest
 from lexicost.combiner import (
     CombineProblem,
     PromisingEntry,
-    _filter_dominated,
     optimal_combination,
 )
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS
@@ -24,6 +23,7 @@ from oracles import (
     enumerate_programs,
     exhaustive_best_costs,
     naive_coverage,
+    non_dominated,
     random_facts,
     random_program,
 )
@@ -125,6 +125,6 @@ def test_combiner_larger_instances(seed):
     fast = optimal_combination(p)
     # the selection is brute force's over the entries the search keeps
     slow = brute_force_combination(
-        CombineProblem(tuple(_filter_dominated(entries)), n_pos, n_neg, spec))
+        CombineProblem(tuple(non_dominated(entries)), n_pos, n_neg, spec))
     assert fast.cost == slow.cost == brute_force_combination(p).cost
     assert fast.selected == slow.selected

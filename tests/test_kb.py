@@ -203,3 +203,11 @@ class TestBiasValidation:
     def test_bounds_validated(self):
         with pytest.raises(InvalidBiasValueError):
             Bias(frozenset({("f", 1)}), frozenset(), 1, 0, 1)
+
+    def test_head_pred_of_arity_zero_rejected(self):
+        # a head without arguments connects to no body literal, so the
+        # generator's space would be empty and its proof false
+        with pytest.raises(InvalidBiasValueError, match="head_pred f must have arity >= 1"):
+            Bias(frozenset({("f", 0), ("g", 1)}), frozenset({("q", 0)}), 1, 1, 1)
+        with pytest.raises(InvalidBiasValueError):
+            parse_bias("head_pred(f,0). body_pred(q,0). body_pred(r,1).")

@@ -52,9 +52,10 @@ def _atoms(preds: list[str], arity: dict[str, int], term) -> st.SearchStrategy[A
 def tasks(draw) -> tuple[Task, list[tuple[Atom, bool]]]:
     """A task, and its labelled examples in file order (labels interleave)."""
     names = draw(st.lists(PRED, min_size=2, max_size=6, unique=True))
-    arity = {n: draw(st.integers(0, 3)) for n in names}
     n_head = draw(st.integers(1, len(names) - 1))
     head, body = names[:n_head], names[n_head:]
+    # a head predicate has an argument; a body predicate may have none
+    arity = {n: draw(st.integers(int(n in head), 3)) for n in names}
     facts = draw(st.lists(_atoms(body, arity, CONST), max_size=8))
     examples = draw(st.lists(_atoms(head, arity, CONST), min_size=1, max_size=8,
                              unique=True))
