@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import Field, asdict, dataclass, field, fields
 from typing import Iterable, Mapping, Sequence, get_type_hints
 
 from .errors import (
@@ -38,9 +38,6 @@ class MetricReport:
     precision: float
     recall: float
     flags: frozenset[str] = frozenset()
-
-    def value(self, name: str) -> float:
-        return getattr(self, name)
 
 
 def metrics(conf: Confusion) -> MetricReport:
@@ -78,10 +75,10 @@ def metrics(conf: Confusion) -> MetricReport:
 
 @dataclass(frozen=True)
 class DomainAggregate:
-    domain: str
-    per_task: tuple[MetricReport, ...]
+    # in the order of the keys of a `per_domain` cell of `analyze_results`
     mean: Mapping[str, float]
     stderr: Mapping[str, float]
+    n_tasks: int
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -101,13 +98,9 @@ def aggregate_domain(reports: Sequence[MetricReport], domain: str) -> DomainAggr
     """Arithmetic mean and sample standard error per metric over one domain."""
     if not reports:
         raise EmptyInputError(f"no reports for domain {domain!r}")
-    mean = {}
-    stderr = {}
-    for name in METRIC_NAMES:
-        values = [r.value(name) for r in reports]
-        mean[name] = _mean(values)
-        stderr[name] = _stderr(values)
-    return DomainAggregate(domain, tuple(reports), mean, stderr)
+    columns = {m: [getattr(r, m) for r in reports] for m in METRIC_NAMES}
+    return DomainAggregate({m: _mean(v) for m, v in columns.items()},
+                           {m: _stderr(v) for m, v in columns.items()}, len(reports))
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -210,12 +203,12 @@ def wilcoxon_signed_rank(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def rank_table(
-    per_domain_means: Mapping[str, Sequence[float]], *, decimals: int = 6
+    per_domain_means: Mapping[str, Sequence[float]]
 ) -> dict[str, tuple[int, int, int]]:
     """Counts of rank-1/2/3 finishes per cost function across domains.
 
-    Within a domain, every function tied at the best (rounded) value gets
-    rank 1, the next distinct value rank 2, then rank 3.
+    Within a domain, every function tied at the best value (rounded to six
+    decimals) gets rank 1, the next distinct value rank 2, then rank 3.
     """
     if not per_domain_means:
         raise IncompleteMatrixError("empty matrix")
@@ -229,7 +222,7 @@ def rank_table(
                 raise IncompleteMatrixError(f"missing value for {fn!r}")
     counts = {fn: [0, 0, 0] for fn in per_domain_means}
     for d in range(n_domains):
-        vals = {fn: round(row[d], decimals) for fn, row in per_domain_means.items()}
+        vals = {fn: round(row[d], 6) for fn, row in per_domain_means.items()}
         distinct = sorted(set(vals.values()), reverse=True)
         for fn, v in vals.items():
             place = distinct.index(v)
@@ -317,9 +310,18 @@ def _task_report(rows: list[ResultRow]) -> MetricReport:
         metrics(Confusion(*(getattr(r, f.name) for f in fields(Confusion)))) for r in rows
     ]
     return MetricReport(
-        **{m: _mean([r.value(m) for r in reports]) for m in METRIC_NAMES},
+        **{m: _mean([getattr(r, m) for r in reports]) for m in METRIC_NAMES},
         flags=frozenset().union(*(r.flags for r in reports)),
     )
+
+
+def _or_none(stat, error: type[Exception], xs: Sequence[float],
+             ys: Sequence[float]) -> float | None:
+    """`stat(xs, ys)`, or None where the statistic raises its own `error`."""
+    try:
+        return stat(xs, ys)
+    except error:
+        return None
 
 
 def analyze_results(rows: Sequence[ResultRow]) -> dict:
@@ -335,79 +337,43 @@ def analyze_results(rows: Sequence[ResultRow]) -> dict:
     for r in rows:
         tasks.setdefault((r.domain, r.task), []).append(r)
 
-    excluded = sorted(
-        key for key, trs in tasks.items()
-        if not any(r.status == STATUS_OK and r.size > 0 for r in trs)
-    )
-    kept = {k: v for k, v in tasks.items() if k not in set(excluded)}
-
-    domains = sorted({d for d, _ in kept})
-    aggregates: dict[str, dict[str, DomainAggregate]] = {}
-    for fn in cost_fns:
-        aggregates[fn] = {}
-        for domain in domains:
-            task_reports = []
-            for (d, task), trs in sorted(kept.items()):
-                if d != domain:
-                    continue
-                ok = [r for r in trs if r.cost_fn == fn and r.status == STATUS_OK]
-                if ok:
-                    task_reports.append(_task_report(ok))
-            if task_reports:
-                aggregates[fn][domain] = aggregate_domain(task_reports, domain)
+    excluded = []
+    reports: dict[str, dict[str, list[MetricReport]]] = {fn: {} for fn in cost_fns}
+    for (domain, task), trs in sorted(tasks.items()):
+        if not any(r.status == STATUS_OK and r.size > 0 for r in trs):
+            excluded.append(f"{domain}/{task}")
+            continue
+        ok: dict[str, list[ResultRow]] = {}
+        for r in trs:
+            if r.status == STATUS_OK:
+                ok.setdefault(r.cost_fn, []).append(r)
+        for fn, fn_rows in ok.items():
+            reports[fn].setdefault(domain, []).append(_task_report(fn_rows))
+    aggregates = {fn: {d: aggregate_domain(rs, d) for d, rs in by_domain.items()}
+                  for fn, by_domain in reports.items()}
 
     # cross-domain statistics need a complete (cost_fn x domain) matrix
-    complete_domains = [
-        d for d in domains if all(d in aggregates[fn] for fn in cost_fns)
-    ]
-    acc_matrix = {
-        fn: [aggregates[fn][d].mean["accuracy"] for d in complete_domains]
-        for fn in cost_fns
-    }
-
-    overall = {
-        fn: _mean(acc_matrix[fn]) if complete_domains else None for fn in cost_fns
-    }
-
-    ranks = (
-        rank_table(acc_matrix) if complete_domains else {fn: (0, 0, 0) for fn in cost_fns}
-    )
-
-    pearson_matrix: dict[str, dict[str, float | None]] = {}
-    wilcoxon_pairs: dict[str, float | None] = {}
-    for f1 in cost_fns:
-        pearson_matrix[f1] = {}
-        for f2 in cost_fns:
-            try:
-                pearson_matrix[f1][f2] = pearson(acc_matrix[f1], acc_matrix[f2])
-            except DegenerateInputError:
-                pearson_matrix[f1][f2] = None
-    for i, f1 in enumerate(cost_fns):
-        for f2 in cost_fns[i + 1:]:
-            try:
-                wilcoxon_pairs[f"{f1}|{f2}"] = wilcoxon_signed_rank(
-                    acc_matrix[f1], acc_matrix[f2]
-                )
-            except TooFewPairsError:
-                wilcoxon_pairs[f"{f1}|{f2}"] = None
-
+    complete = [d for d in sorted({r.domain for r in rows})
+                if all(d in aggregates[fn] for fn in cost_fns)]
+    acc = {fn: [aggregates[fn][d].mean["accuracy"] for d in complete] for fn in cost_fns}
+    ranks = rank_table(acc) if complete else dict.fromkeys(cost_fns, (0, 0, 0))
     return {
         "cost_fns": cost_fns,
-        "domains": complete_domains,
-        "excluded_tasks": [f"{d}/{t}" for d, t in excluded],
-        "per_domain": {
-            fn: {
-                d: {
-                    "mean": dict(agg.mean),
-                    "stderr": dict(agg.stderr),
-                    "n_tasks": len(agg.per_task),
-                }
-                for d, agg in aggregates[fn].items()
-            }
-            for fn in cost_fns
-        },
-        "overall_accuracy_mean": overall,
+        "domains": complete,
+        "excluded_tasks": excluded,
+        "per_domain": {fn: {d: asdict(agg) for d, agg in aggregates[fn].items()}
+                       for fn in cost_fns},
+        "overall_accuracy_mean": {fn: _mean(acc[fn]) if complete else None
+                                  for fn in cost_fns},
         "rank_table": {fn: list(v) for fn, v in ranks.items()},
-        "pearson_accuracy": pearson_matrix,
-        "wilcoxon_accuracy_p": wilcoxon_pairs,
+        "pearson_accuracy": {
+            f1: {f2: _or_none(pearson, DegenerateInputError, acc[f1], acc[f2])
+                 for f2 in cost_fns}
+            for f1 in cost_fns
+        },
+        "wilcoxon_accuracy_p": {
+            f"{f1}|{f2}": _or_none(wilcoxon_signed_rank, TooFewPairsError,
+                                   acc[f1], acc[f2])
+            for i, f1 in enumerate(cost_fns) for f2 in cost_fns[i + 1:]
+        },
     }

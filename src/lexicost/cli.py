@@ -52,7 +52,7 @@ def _round4(x: float) -> float:
 
 def _metric_json(conf: Confusion) -> dict:
     rep = analytics.metrics(conf)
-    return {**{m: _round4(rep.value(m)) for m in METRIC_NAMES},
+    return {**{m: _round4(getattr(rep, m)) for m in METRIC_NAMES},
             "flags": sorted(rep.flags), **asdict(conf)}
 
 

@@ -6,9 +6,11 @@ whose charged size is the sum of the members' sizes.  `optimal_combination`
 finds a subset whose cost vector is lexicographically minimal over all 2^n
 subsets (optionally only those within a rule-count budget, keeping the union
 inside a bias-bounded space).  It first drops dominated entries, which never
-changes the optimal cost, and then runs one depth-first branch and bound
-over include/exclude decisions in id order, a loop over an explicit stack,
-so the pool size is limited by time, not by the interpreter's stack:
+changes the optimal cost: it adds the entries in id order to a non-dominated
+front by the step `CombinePool.insert` takes (`_admit`).  Then it runs one
+depth-first branch and bound over include/exclude decisions in id order, a
+loop over an explicit stack, so the pool size is limited by time, not by the
+interpreter's stack:
 
 - the key of a selection is `(cost, sorted ids)`, and the incumbent is the
   smallest key found so far, starting from the empty selection;
@@ -42,7 +44,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .cost import CostSpec, CostVector, evaluate
-from .errors import LengthMismatchError, ParseError
+from .errors import LengthMismatchError, LexicostError, ParseError
 from .evaluator import Confusion, bits_to_string, confusion_of, string_to_bits
 
 
@@ -66,8 +68,12 @@ class CombineProblem:
     max_rules: int | None = None
 
     def __post_init__(self):
+        seen: set[int] = set()
         for e in self.entries:
             _check_bits(e, self.n_pos, self.n_neg)
+            if e.id in seen:
+                raise LexicostError(f"repeated entry id {e.id}")
+            seen.add(e.id)
 
 
 @dataclass(frozen=True)
@@ -140,11 +146,16 @@ def _dominates(e1: PromisingEntry, e2: PromisingEntry) -> bool:
     return e1.id < e2.id
 
 
-def _filter_dominated(entries: tuple[PromisingEntry, ...]) -> list[PromisingEntry]:
-    return [
-        e for e in entries
-        if not any(f is not e and _dominates(f, e) for f in entries)
-    ]
+def _admit(front: list[PromisingEntry], e: PromisingEntry) -> set[int] | None:
+    """Add `e`, whose id exceeds all of `front`'s, to the non-dominated
+    `front` in id order.  None when an entry of `front` dominates `e` (then
+    `front` stays as it is: domination is transitive, so `e` dominates none
+    of it); else `e` joins, and the ids of the entries it evicts are returned."""
+    if any(_dominates(f, e) for f in front):
+        return None
+    evicted = {f.id for f in front if _dominates(e, f)}
+    front[:] = [f for f in front if f.id not in evicted] + [e]
+    return evicted
 
 
 _Key = tuple[CostVector, tuple[int, ...]]
@@ -201,8 +212,10 @@ def optimal_combination(p: CombineProblem) -> CombineSolution:
     """The feasible selection of non-dominated entries with the smallest key
     `(cost, sorted ids)`: a lexicographically minimal cost, ties broken by
     the smallest id set."""
-    order = sorted(_filter_dominated(p.entries), key=lambda e: e.id)
-    return _solution(p, order, _search(p, order)[1])
+    front: list[PromisingEntry] = []
+    for e in sorted(p.entries, key=lambda e: e.id):
+        _admit(front, e)
+    return _solution(p, front, _search(p, front)[1])
 
 
 SKIP, FORCED, FULL = "skip", "forced", "full"
@@ -240,10 +253,9 @@ class CombinePool:
             raise ValueError(f"entry {e.id} arrives after entry {self.entries[-1].id}")
         _check_bits(e, self._p.n_pos, self._p.n_neg)
         self.entries.append(e)
-        if any(_dominates(f, e) for f in self.front):
+        evicted = _admit(self.front, e)
+        if evicted is None:
             return SKIP
-        evicted = {f.id for f in self.front if _dominates(e, f)}
-        self.front = [f for f in self.front if f.id not in evicted] + [e]
         if not evicted.isdisjoint(self.solution.selected):
             return FULL
         old = (self.solution.cost, self.solution.selected)

@@ -262,8 +262,8 @@ def _join(steps, env: list, i: int = 0):
 
 def _goal_directed(rules: list[_CompiledRule], store: _Store, max_atoms: int):
     """A test of one ground atom against rules whose bodies read only the
-    store: the atom is a fact, or some rule's head binds to it and its body
-    has a solution."""
+    store: some rule's head binds to it and its body has a solution.  The
+    atom is never a fact, since no background fact uses a head predicate."""
     by_head: dict[_Key, list] = {}
     for r in rules:
         bound = set(r.constant_slots)
@@ -278,8 +278,6 @@ def _goal_directed(rules: list[_CompiledRule], store: _Store, max_atoms: int):
 
     def holds(key: _Key, args: tuple[str, ...]) -> bool:
         nonlocal derived
-        if args in store[key].tuples:
-            return True
         for env, binds, checks, steps in by_head.get(key, ()):
             for p, s in binds:
                 env[s] = args[p]

@@ -68,7 +68,7 @@ class TestMetrics:
             return
         rep = metrics(Confusion(tp=tp, fp=fp, tn=tn, fn=fn))
         for name in ("accuracy", "balanced_accuracy", "precision", "recall"):
-            assert 0.0 <= rep.value(name) <= 100.0
+            assert 0.0 <= getattr(rep, name) <= 100.0
 
     @given(tp=st.integers(0, 20), fn=st.integers(0, 20), fp=st.integers(0, 20))
     def test_accuracy_equals_balanced_when_classes_equal(self, tp, fn, fp):

@@ -710,6 +710,16 @@ class TestAnalyzeCommand:
         for name in names:
             assert (tmp_path / name).read_text() == (golden / name).read_text(), name
 
+    @pytest.mark.parametrize("name", ["demo", "seeded"])
+    def test_json_matches_golden(self, name, capsys):
+        # `seeded_results.csv` has eight domains and five cost functions: `c`
+        # has only error rows on d7, so d0-d6 are the complete domains; d5/t2
+        # learned nothing under any cost function and is excluded; `d` scores
+        # 100 on every domain and `e` equals `a` but on d0-d2, so Pearson and
+        # Wilcoxon cells hold both numbers and null
+        assert main(["analyze", str(DATA / f"{name}_results.csv")]) == EXIT_OK
+        assert capsys.readouterr().out == (DATA / f"{name}_analysis.json").read_text()
+
     def test_out_dir_under_a_regular_file_exit_2(self, suite_root, tmp_path,
                                                  capsys):
         out = tmp_path / "results.csv"

@@ -16,7 +16,7 @@ from lexicost.combiner import (
     parse_problem,
 )
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS, evaluate, parse_cost_spec
-from lexicost.errors import ParseError
+from lexicost.errors import LexicostError, ParseError
 from lexicost.evaluator import string_to_bits
 from oracles import TooLargeError, brute_force_combination, non_dominated
 
@@ -106,6 +106,13 @@ class TestExamples:
             assert sol.selected == ()
             assert sol.conf.fn == 4 and sol.conf.fp == 0
             assert sol.total_size == 0
+
+    def test_repeated_id_is_rejected(self):
+        # solved, the pair would select (0,) at cost (1, 0), the union of
+        # both entries, while the first entry alone costs (0, 1)
+        with pytest.raises(LexicostError, match="repeated entry id 0"):
+            CombineProblem((entry(0, 2, "10", "0"), entry(0, 3, "01", "1")),
+                           2, 1, NAMED_SPECS["fpfn"])
 
     def test_pool_deeper_than_the_interpreter_stack(self):
         # one entry per positive: a search that recursed once per entry

@@ -365,6 +365,14 @@ class TestIndexedCoverage:
         coverage(parse_program("east(A):- has_car(A,B),long(B)."), task)
         assert fact_store(task) is store
 
+    def test_goal_directed_coverage_leaves_the_store_keys(self):
+        # a non-recursive hypothesis only reads the store: no relation, not
+        # even an empty one for its head predicate, is added to it
+        task = parse_task(TRAINS_BK, TRAINS_EXS, TRAINS_BIAS)
+        keys = set(fact_store(task))
+        coverage(parse_program("east(A):- has_car(A,B),closed(B)."), task)
+        assert set(fact_store(task)) == keys
+
 
 class TestConfusion:
     def test_all_set(self):
