@@ -18,6 +18,17 @@ interpreter's stack:
   grow, and fn can at best fall to the positives the remaining entries
   still cover; a node whose `(bound, ids)` is no smaller than the incumbent
   is cut, since everything below it extends its ids with larger ids;
+- a node that this cheap test keeps is charged, when popped, for R, the
+  positives the remaining entries could still add (`_reach_cut`).  When
+  the first component is fn alone, a completion that misses some k in R
+  loses on it at once, and one that covers R includes for each k an entry
+  covering k, so each later component rises by at least the largest, over
+  k, of the least rise an entry covering k brings there.  When it is
+  fp + fn (+ size), covering a subset S of R costs at least the largest of
+  those least rises over S, and each positive of R outside S adds 1 to fn.
+  Either rise is a lower bound on every completion, so the cut stays
+  exact; the test walks the remaining entries, so it runs only where the
+  O(1) bound fails to cut;
 - the child with the smaller bound is tried first, so good incumbents come
   early and cut most of the tree.
 
@@ -109,7 +120,8 @@ def _solution(p: CombineProblem, pool: Iterable[PromisingEntry],
 
 def _bound(order: list[PromisingEntry], p: CombineProblem):
     """`bound(i, pos, neg, size)`: an admissible lower bound on the cost of
-    the partial union (pos, neg, size) extended by any subset of order[i:].
+    the partial union (pos, neg, size) extended by any subset of order[i:];
+    returned with `suffix`, where suffix[i] ORs the pos_bits of order[i:].
 
     Adding entries can only raise fp and size, and fn can at best fall to
     the positives that order[i:] still covers.  At i == len(order) the bound
@@ -126,7 +138,73 @@ def _bound(order: list[PromisingEntry], p: CombineProblem):
         fn = n_pos - (pos | suffix[i]).bit_count()
         return tuple([a * fp + b * fn + c * size for a, b, c in weights])
 
-    return bound
+    return bound, suffix
+
+
+def _reach_cut(order: list[PromisingEntry], suffix: list[int], p: CombineProblem):
+    """`cut(i, pos, neg, lb, ids, best)`: True when no completion of the node
+    by order[i:] has a key below `best`, charging it for the positives R
+    that order[i:] can still add; `lb` is the node's `_bound`.  None when
+    the first component does not charge fn, or is fn with nothing after it.
+
+    An entry e weighs `a·|e.neg_bits & ~neg| + c·e.size` in a component with
+    fp and size coefficients a and c: what a completion with e adds there at
+    least.  The incumbent's slack t in a component serves as a threshold.
+    """
+    comps = [(c.a_fp, c.c_size) for c in p.spec.components]
+    if not p.spec.components[0].b_fn or comps == [(0, 0)]:
+        return None
+
+    def cut_fn_first(i, pos, neg, lb, ids, best):
+        # A completion missing some k in R loses on fn.  One covering all of
+        # R includes, for each such k, an entry covering k; so component j
+        # rises by at least max_k min_{e∋k} weight_j(e).
+        r = suffix[i] & ~pos
+        if not r or lb[0] != best[0][0]:
+            return False
+        free = ~neg
+        for j in range(1, len(comps)):
+            a, c = comps[j]
+            t = best[0][j] - lb[j]
+            below = upto = 0
+            for e in order[i:]:
+                if e.pos_bits & r:
+                    w = a * (e.neg_bits & free).bit_count() + c * e.size
+                    if w < t:
+                        below |= e.pos_bits
+                    elif w == t:
+                        upto |= e.pos_bits
+            if r & ~(below | upto):
+                return True  # some k has every weight above t
+            if not r & ~below:
+                return False  # every k has a weight below t
+        return ids >= best[1]
+
+    def cut_error(i, pos, neg, lb, ids, best):
+        # Covering the subset S of R costs at least max_{k∈S} d_k, where d_k
+        # is the least weight of an entry covering k, and leaving R∖S costs
+        # 1 per positive; so component 0 rises by min_t (t + #{d_k > t}).
+        r = suffix[i] & ~pos
+        if not r:
+            return False
+        a, c = comps[0]
+        t = best[0][0] - lb[0]
+        buckets: dict[int, int] = {}
+        free = ~neg
+        for e in order[i:]:
+            if e.pos_bits & r:
+                w = a * (e.neg_bits & free).bit_count() + c * e.size
+                if w <= t:
+                    buckets[w] = buckets.get(w, 0) | e.pos_bits
+        rise, covered = r.bit_count(), 0
+        for w in sorted(buckets):
+            covered |= buckets[w]
+            rise = min(rise, w + (r & ~covered).bit_count())
+        if rise != t:
+            return rise > t
+        return (lb[1:], ids) >= (best[0][1:], best[1])
+
+    return cut_fn_first if comps[0] == (0, 0) else cut_error
 
 
 def _dominates(e1: PromisingEntry, e2: PromisingEntry) -> bool:
@@ -170,10 +248,12 @@ def _search(p: CombineProblem, order: list[PromisingEntry],
     Each selection is scored by the include that creates it; the child with
     the smaller bound is pushed last.  A node is cut when `(bound, ids)` is
     no smaller than the incumbent: its ids, `forced` left out, are a prefix
-    of the ids of every selection below it.
+    of the ids of every selection below it.  A node that survives that test
+    gets `_reach_cut`'s dearer one when it is popped.
     """
     budget = float("inf") if p.max_rules is None else p.max_rules
-    bound = _bound(order, p)
+    bound, suffix = _bound(order, p)
+    cut = _reach_cut(order, suffix, p)
     n = len(order)
     if forced is None:
         pos = neg = size = rules = 0
@@ -189,7 +269,8 @@ def _search(p: CombineProblem, order: list[PromisingEntry],
     stack = [(bound(0, pos, neg, size), (), 0, pos, neg, size, rules)]
     while stack:
         lb, ids, i, pos, neg, size, rules = stack.pop()
-        if (lb, ids) >= best or i == n:
+        if (lb, ids) >= best or i == n or (
+                cut is not None and cut(i, pos, neg, lb, ids, best)):
             continue
         e = order[i]
         out = (bound(i + 1, pos, neg, size), ids, i + 1, pos, neg, size, rules)

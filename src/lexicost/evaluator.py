@@ -120,16 +120,16 @@ class _Relation:
         return True
 
 
-# A fact store: one relation per (predicate, arity); an absent relation is
-# created empty on first lookup.
-_Store = defaultdict[_Key, _Relation]
+# A fact store: one relation per (predicate, arity) that has facts; an
+# absent relation is empty.  A task's store is shared and only read.
+_Store = dict[_Key, _Relation]
 
 
 def _store_of(facts: Iterable[Atom]) -> _Store:
-    store: _Store = defaultdict(_Relation)
+    store: defaultdict[_Key, _Relation] = defaultdict(_Relation)
     for a in facts:
         store[(a.predicate, a.arity)].tuples.add(a.args)
-    return store
+    return dict(store)
 
 
 def fact_store(t: Task) -> _Store:
@@ -223,13 +223,14 @@ def _plan(body, bound: Iterable[int], relations: _Store,
         else:
             def rank(j):
                 n_bound = sum(s in bound for s in body[j][1])
+                rel = relations.get(body[j][0])
                 return (n_bound < len(body[j][1]), -n_bound,
-                        len(relations[body[j][0]].tuples))
+                        0 if rel is None else len(rel.tuples))
 
             i = min(remaining, key=rank)
         remaining.remove(i)
         key, slots = body[i]
-        rel = delta[1] if delta and i == delta[0] else relations[key]
+        rel = delta[1] if delta and i == delta[0] else relations.get(key) or _Relation()
         positions, binds, repeats = _split(slots, bound)
         probe = _getter(tuple(slots[p] for p in positions))
         steps.append((rel.index(positions), probe, binds, repeats))

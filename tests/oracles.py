@@ -287,6 +287,16 @@ COST_LEVELS = {
 }
 
 
+def cost_levels(spec: CostSpec) -> tuple[tuple[str, ...], ...]:
+    """The levels of `spec`: the table's for a named cost function, else the
+    terms whose coefficient is set in each of its components."""
+    if spec.name in COST_LEVELS:
+        return COST_LEVELS[spec.name]
+    return tuple(tuple(term for term, coef in zip(("fp", "fn", "size"),
+                                                  (c.a_fp, c.b_fn, c.c_size)) if coef)
+                 for c in spec.components)
+
+
 def _examples(bits: int) -> set[int]:
     return {i for i in range(bits.bit_length()) if bits >> i & 1}
 
@@ -320,15 +330,14 @@ class TooLargeError(LexicostError):
 
 def brute_force_combination(p: CombineProblem) -> CombineSolution:
     """The selection with the smallest `(cost, sorted ids)` over all 2^n
-    subsets of at most `max_rules` rules, for |entries| <= 20 and a named
-    cost function."""
+    subsets of at most `max_rules` rules, for |entries| <= 20."""
     n = len(p.entries)
     if n > BRUTE_FORCE_LIMIT:
         raise TooLargeError(f"{n} entries exceeds the brute-force limit of "
                             f"{BRUTE_FORCE_LIMIT}")
     entries = sorted(p.entries, key=lambda e: e.id)
     budget = float("inf") if p.max_rules is None else p.max_rules
-    levels = COST_LEVELS[p.spec.name]
+    levels = cost_levels(p.spec)
     best = None
 
     def rec(i: int, pos: int, neg: int, size: int, rules: int, ids: tuple) -> None:

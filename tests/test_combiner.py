@@ -1,8 +1,10 @@
+import itertools
 import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexicost.combiner import (
     FORCED,
@@ -11,6 +13,8 @@ from lexicost.combiner import (
     CombinePool,
     CombineProblem,
     PromisingEntry,
+    _bound,
+    _reach_cut,
     dump_problem,
     optimal_combination,
     parse_problem,
@@ -18,9 +22,12 @@ from lexicost.combiner import (
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS, evaluate, parse_cost_spec
 from lexicost.errors import LexicostError, ParseError
 from lexicost.evaluator import string_to_bits
-from oracles import TooLargeError, brute_force_combination, non_dominated
+from oracles import TooLargeError, brute_force_combination, cost_levels, non_dominated
 
 DATA = Path(__file__).parent / "data"
+# the named specs, and custom ones that reach each branch of `_reach_cut`
+CUT_SPECS = ALL_SPEC_NAMES + ("custom:fn,size,fp", "custom:fn,fp+size",
+                              "custom:fn+size", "custom:fp+fn+size,fp")
 
 
 def entry(i, size, pos, neg, rules=0):
@@ -297,10 +304,11 @@ class TestCombinePool:
     def test_random_pools_match_brute_force_at_every_prefix(self):
         # budgeted pools of multi-rule entries, where some arrivals are built
         # to dominate a selected entry
+        specs = [parse_cost_spec(name) for name in CUT_SPECS]
         rng = random.Random(50)
         seen = set()
-        for trial in range(150):
-            spec = NAMED_SPECS[ALL_SPEC_NAMES[trial % len(ALL_SPEC_NAMES)]]
+        for trial in range(220):
+            spec = specs[trial % len(specs)]
             n_pos, n_neg = rng.randint(1, 8), rng.randint(0, 8)
             max_rules = rng.choice((None, 2, 3, 4))
             pool = CombinePool(n_pos, n_neg, spec, max_rules=max_rules)
@@ -352,6 +360,75 @@ class TestCombinePool:
                 if pool.insert(e) == FULL:
                     pool.solution = optimal_combination(pool.problem())
                 assert pool.front == non_dominated(pool.entries), (trial, i)
+
+
+@st.composite
+def search_problems(draw):
+    """A small problem, its entries in id order as `_search` takes them, and
+    an entry forced into every selection or None."""
+    n_pos, n_neg = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    budget = draw(st.sampled_from((None, 1, 2, 3, 5)))
+    entries = [PromisingEntry(id=i, rules=draw(st.integers(1, 2)),
+                              pos_bits=draw(st.integers(0, 2 ** n_pos - 1)),
+                              neg_bits=draw(st.integers(0, 2 ** n_neg - 1)),
+                              size=draw(st.integers(1, 4)))
+               for i in range(draw(st.integers(0, 8)))]
+    forced = None
+    if entries and draw(st.booleans()) and (budget is None or entries[-1].rules <= budget):
+        forced = entries.pop()
+    spec = parse_cost_spec(draw(st.sampled_from(CUT_SPECS)))
+    return CombineProblem(tuple(entries), n_pos, n_neg, spec, budget), forced
+
+
+class TestCutSoundness:
+    @settings(max_examples=300, deadline=None)
+    @given(search_problems(), st.data())
+    def test_no_node_is_cut_above_a_smaller_completion(self, case, data):
+        # every node of the search tree, against incumbents near the keys of
+        # feasible selections: when the cheap bound or `_reach_cut` cuts the
+        # node, no completion by order[i:] has a smaller key
+        p, forced = case
+        order = list(p.entries)
+        budget = float("inf") if p.max_rules is None else p.max_rules
+        levels = cost_levels(p.spec)
+        start = [] if forced is None else [forced]
+
+        def key(chosen):
+            pos = neg = size = 0
+            for e in chosen:
+                pos, neg, size = pos | e.pos_bits, neg | e.neg_bits, size + e.size
+            terms = {"fp": bin(neg).count("1"), "size": size,
+                     "fn": p.n_pos - bin(pos).count("1")}
+            return (tuple(sum(terms[t] for t in level) for level in levels),
+                    tuple(e.id for e in chosen))
+
+        def selections(entries, taken):
+            for k in range(len(entries) + 1):
+                for chosen in itertools.combinations(entries, k):
+                    if sum(e.rules for e in taken + list(chosen)) <= budget:
+                        yield list(chosen)
+
+        keys = st.sampled_from([key(c + start) for c in selections(order, start)])
+        shift = st.lists(st.integers(-1, 1), min_size=len(levels), max_size=len(levels))
+        incumbents = [data.draw(keys) for _ in range(8)] + [
+            (tuple(c + d for c, d in zip(data.draw(keys)[0], data.draw(shift))),
+             data.draw(keys)[1]) for _ in range(8)]
+        bound, suffix = _bound(order, p)
+        cut = _reach_cut(order, suffix, p)
+        for i in range(len(order) + 1):
+            for prefix in selections(order[:i], start):
+                node = start + prefix
+                pos = neg = size = 0
+                for e in node:
+                    pos, neg, size = pos | e.pos_bits, neg | e.neg_bits, size + e.size
+                lb = bound(i, pos, neg, size)
+                ids = tuple(e.id for e in prefix)
+                cut_by = [best for best in incumbents if (lb, ids) >= best or (
+                    cut is not None and i < len(order) and cut(i, pos, neg, lb, ids, best))]
+                if cut_by:
+                    least = min(key(prefix + rest + start)
+                                for rest in selections(order[i:], node))
+                    assert all(least >= best for best in cut_by), (i, prefix, least)
 
 
 class TestGoldenPools:

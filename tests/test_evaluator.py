@@ -372,6 +372,12 @@ class TestIndexedCoverage:
         keys = set(fact_store(task))
         coverage(parse_program("east(A):- has_car(A,B),closed(B)."), task)
         assert set(fact_store(task)) == keys
+        # nor one for a body predicate that has no background facts
+        task = parse_task(TRAINS_BK, TRAINS_EXS, TRAINS_BIAS + "body_pred(roof,1).\n")
+        keys = set(fact_store(task))
+        conf = coverage(parse_program("east(A):- has_car(A,B),roof(B)."), task)
+        assert (conf.pos_bits, conf.neg_bits) == (0, 0)
+        assert set(fact_store(task)) == keys
 
 
 class TestConfusion:
