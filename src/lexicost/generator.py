@@ -8,6 +8,12 @@ use only variables, have distinct canonical head variables, and must be safe
 (head variables occur in the body) and connected.  Multi-rule candidates are
 produced only when recursion is enabled; non-recursive unions are the
 combine stage's job.
+
+Rules are enumerated over indices into the literal pool, sorted by
+`Atom.sort_key`: a body is an ascending index tuple, and only the least
+tuple of each renaming class of the body-only variables becomes a `Rule`,
+so the rules of one body length come out canonical, unique and in
+`Rule.sort_key` order.
 """
 
 from __future__ import annotations
@@ -83,31 +89,35 @@ def program_subsumes(p1: Program, p2: Program) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _rule_redundant(r: Rule) -> bool:
-    head_vars = set(r.head.variables())
-    body_vars = {v for a in r.body for v in a.variables()}
-    # unused head variable: the rule is unsafe under least-model semantics
-    if head_vars - body_vars:
-        return True
-    # a body literal equal to the head can never derive anything new
-    if r.head in r.body:
-        return True
-    # every body literal must reach the head through a chain of shared variables
-    connected = set(head_vars)
-    pending = list(r.body)
+def _connected(head_vars, body_vars) -> bool:
+    """Every body literal reaches the head through a chain of shared
+    variables; the head's and each literal's variables are sets or bitmasks."""
+    connected = head_vars
+    pending = list(body_vars)
     progress = True
     while progress and pending:
         progress = False
         still = []
-        for a in pending:
-            avars = set(a.variables())
+        for avars in pending:
             if avars & connected:
-                connected |= avars
+                connected = connected | avars
                 progress = True
             else:
-                still.append(a)
+                still.append(avars)
         pending = still
-    return bool(pending)
+    return not pending
+
+
+def _rule_redundant(r: Rule) -> bool:
+    head_vars = set(r.head.variables())
+    body_vars = [set(a.variables()) for a in r.body]
+    # unused head variable: the rule is unsafe under least-model semantics
+    if not head_vars <= set().union(*body_vars):
+        return True
+    # a body literal equal to the head can never derive anything new
+    if r.head in r.body:
+        return True
+    return not _connected(head_vars, body_vars)
 
 
 def _one_subsumes_another(rules: Sequence[Rule]) -> bool:
@@ -156,44 +166,69 @@ def _all_rules_can_fire(rules: Sequence[Rule], edb_preds: frozenset[tuple[str, i
 # ---------------------------------------------------------------------------
 
 
-def _literal_pool(bias: Bias) -> list[tuple[Atom, frozenset[int]]]:
-    """All body literals over the allowed predicates, paired with var indices."""
+def _literal_pool(bias: Bias) -> list[tuple[Atom, tuple[int, ...]]]:
+    """All body literals over the allowed predicates, paired with var
+    indices, in `Atom.sort_key` order."""
     preds = set(bias.body_preds)
     if bias.enable_recursion:
         preds |= set(bias.head_preds)
     pool = []
-    for pred, arity in sorted(preds):
+    for pred, arity in preds:
         for pattern in itertools.product(range(bias.max_vars), repeat=arity):
-            a = Atom(pred, tuple(variable_name(i) for i in pattern))
-            pool.append((a, frozenset(pattern)))
-    return pool
+            pool.append((Atom(pred, tuple(variable_name(i) for i in pattern)), pattern))
+    return sorted(pool, key=lambda lit: lit[0].sort_key())
+
+
+def _renamings(pool, index, lo: int, hi: int) -> list[list[int]]:
+    """For each renaming of variables lo .. hi-1 but the identity, the map
+    from pool index to pool index that it induces."""
+    maps = []
+    for perm in itertools.islice(itertools.permutations(range(lo, hi)), 1, None):
+        new = dict(zip(range(lo, hi), perm))
+        maps.append([index[a.predicate, tuple(new.get(v, v) for v in pattern)]
+                     for a, pattern in pool])
+    return maps
 
 
 def enumerate_rules(bias: Bias, body_len: int) -> list[Rule]:
-    """All canonical, safe, connected rules with exactly body_len body literals."""
+    """All canonical, safe, connected rules with exactly body_len body
+    literals, in `Rule.sort_key` order.
+
+    A body is an ascending tuple of indices into the literal pool.  Its
+    variables must form a contiguous prefix, and of the bodies that a
+    renaming of its body-only variables maps it to, it must be the least:
+    so each rule is met once, as its canonical form, before any `Rule` is
+    built.
+    """
     pool = _literal_pool(bias)
-    out: set[Rule] = set()
+    index = {(a.predicate, pattern): i for i, (a, pattern) in enumerate(pool)}
+    masks = [sum(1 << v for v in set(pattern)) for _, pattern in pool]
+    out = []
     for hp, ha in sorted(bias.head_preds):
         if ha > bias.max_vars:
             continue
         head = Atom(hp, tuple(variable_name(i) for i in range(ha)))
-        head_ids = frozenset(range(ha))
+        head_id = index.get((hp, tuple(range(ha))))
+        head_mask = (1 << ha) - 1
+        renamings: dict[int, list[list[int]]] = {}
         for combo in itertools.combinations(range(len(pool)), body_len):
-            used = set(head_ids)
+            body_mask = 0
             for i in combo:
-                used |= pool[i][1]
-            # variable indices must form a contiguous prefix: anything else is
-            # a renaming of a combination we also enumerate
-            if used != set(range(len(used))):
+                body_mask |= masks[i]
+            used = body_mask | head_mask
+            # variable indices must form a contiguous prefix (anything else is
+            # a renaming of a combination we also enumerate), the body must
+            # hold every head variable, and not the head itself
+            if used & (used + 1) or body_mask & head_mask != head_mask or head_id in combo:
                 continue
-            body_vars = frozenset().union(*(pool[i][1] for i in combo))
-            if not head_ids <= body_vars:
+            n_used = used.bit_length()
+            if n_used not in renamings:
+                renamings[n_used] = _renamings(pool, index, ha, n_used)
+            if any(tuple(sorted(m[i] for i in combo)) < combo for m in renamings[n_used]):
                 continue
-            rule = Rule(head, tuple(pool[i][0] for i in combo))
-            if _rule_redundant(rule):
-                continue
-            out.add(rule)
-    return sorted(out, key=Rule.sort_key)
+            if _connected(head_mask, [masks[i] for i in combo]):
+                out.append(Rule(head, [pool[i][0] for i in combo]))
+    return out
 
 
 @dataclass
@@ -212,8 +247,10 @@ def rule_table(bias: Bias, max_size: int) -> RuleTable:
 
     The table is made by the first call and kept on the bias, the way the
     fact store is kept on the task, so every generator over a bias reads the
-    same rule ids.  Sizes are interned smallest first, so ids follow
-    `Rule.sort_key` and the rules of size <= s are ids 0 .. ends[s]-1.
+    same rule ids.  Sizes are interned smallest first and `enumerate_rules`
+    meets each size's rules in `Rule.sort_key` order, so ids follow
+    `Rule.sort_key` without a sort, and the rules of size <= s are ids
+    0 .. ends[s]-1.
     """
     table = kept(bias, "_rule_table", RuleTable)
     while len(table.ends) <= min(max_size, 1 + bias.max_body):

@@ -97,11 +97,12 @@ def _canonicalise(head: Atom, body: Iterable[Atom]) -> tuple[Atom, tuple[Atom, .
     for perm in itertools.permutations(names):
         mapping = dict(head_map)
         mapping.update(zip(body_vars, perm))
-        cand = tuple(sorted((a.substitute(mapping) for a in body_set), key=Atom.sort_key))
-        key = tuple(a.sort_key() for a in cand)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return new_head, best[1]
+        # (key, atom) pairs: distinct atoms have distinct keys, so no two
+        # atoms are compared
+        cand = sorted((b.sort_key(), b) for b in (a.substitute(mapping) for a in body_set))
+        if best is None or cand < best:
+            best = cand
+    return new_head, tuple(a for _, a in best)
 
 
 @dataclass(frozen=True)

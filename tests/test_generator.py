@@ -1,7 +1,9 @@
 import dataclasses
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lexicost.generator import (
     CandidateGenerator,
@@ -16,8 +18,10 @@ from lexicost.evaluator import coverage
 from lexicost.kb import Bias, Program, Rule, parse_program, parse_rule, render_program
 from conftest import PLANTED_SHAPES
 from oracles import (
+    _oracle_rule_ok,
     brute_subsumes,
     enumerate_candidate_space,
+    enumerate_safe_rules,
     random_program,
     random_rule,
 )
@@ -247,6 +251,55 @@ class TestCompleteness:
         oracle = enumerate_candidate_space(b)
         assert set(stream) == set(oracle)
         assert len(stream) == len(oracle)
+
+
+def _oracle_rules(b: Bias, n: int) -> list[Rule]:
+    """The oracle's non-redundant rules of body length n, in id order."""
+    return sorted((r for r in enumerate_safe_rules(b)
+                   if len(r.body) == n and _oracle_rule_ok(r)), key=Rule.sort_key)
+
+
+# the most literal combinations an oracle enumeration may meet
+ORACLE_COMBINATIONS = 1500
+
+
+@st.composite
+def small_biases(draw) -> Bias:
+    heads = {(name, draw(st.integers(1, 3)))
+             for name in draw(st.lists(st.sampled_from("fg"), min_size=1, max_size=2,
+                                       unique=True))}
+    body = {(name, draw(st.integers(0, 3)))
+            for name in draw(st.lists(st.sampled_from("pqr"), min_size=1, max_size=3,
+                                      unique=True))}
+    max_vars = draw(st.integers(1, 4))
+    recursion = draw(st.booleans())
+    pool = sum(max_vars ** a for _, a in body | (heads if recursion else set()))
+    # the longest body that keeps the oracle's enumeration small
+    longest = max(k for k in range(1, 4)
+                  if k == 1 or sum(math.comb(pool, j) for j in range(1, k + 1))
+                  <= ORACLE_COMBINATIONS)
+    return bias(heads, body, max_vars=max_vars,
+                max_body=min(draw(st.integers(1, 3)), longest), recursion=recursion)
+
+
+class TestEnumerateRules:
+    @settings(max_examples=80, deadline=None)
+    @given(small_biases())
+    # three body-only variables: five renamings besides the identity
+    @example(bias({("f", 1)}, {("e", 2)}, max_vars=4, max_body=3))
+    def test_matches_the_oracle_in_id_order(self, b):
+        for n in range(1, b.max_body + 1):
+            assert enumerate_rules(b, n) == _oracle_rules(b, n)
+
+    def test_nine_variables_one_literal(self):
+        # the renamings are built only over the variables a body uses: a
+        # literal of arity 3 uses at most 3 of the 8 body-only variables
+        b = bias({("f", 1)}, {("e", 2), ("t", 3)}, max_vars=9, max_body=1)
+        rules = enumerate_rules(b, 1)
+        assert rules == _oracle_rules(b, 1)
+        # e: A shares e(A,A), e(A,B), e(B,A); t: one of the 1 + 3·2 + 1·3
+        # ways to give A a block of a partition of t's three places
+        assert len(rules) == 3 + 10
 
 
 class TestProgramSubsumes:

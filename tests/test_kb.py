@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexicost.errors import (
     ArityMismatchError,
@@ -26,7 +27,7 @@ from lexicost.kb import (
     parse_task,
     render_program,
 )
-from oracles import random_program
+from oracles import brute_canonical, random_program, random_rule
 
 
 class TestParseTask:
@@ -193,6 +194,26 @@ class TestRender:
         ]
         rules = {parse_rule(v) for v in variants}
         assert len(rules) == 1
+
+
+class TestCanonicalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 5),
+           st.integers(1, 4))
+    def test_renaming_and_body_order_change_nothing(self, rng, head_arity, max_vars,
+                                                    max_body):
+        body_preds = [("g", 1), ("e", 2), ("t", 3)]
+        r = random_rule(rng, ("f", head_arity), body_preds, max(max_vars, head_arity),
+                        max_body)
+        names = rng.sample(["A", "B", "C", "X", "Y", "Zed", "V26", "V100", "W"],
+                           len(r.variables()))
+        renaming = dict(zip(sorted(r.variables()), names))
+        body = [a.substitute(renaming) for a in r.body]
+        rng.shuffle(body)
+        head = r.head.substitute(renaming)
+        assert Rule(head, body) == r
+        key = (r.head.sort_key(), tuple(a.sort_key() for a in r.body))
+        assert key == brute_canonical(head, tuple(body))
 
 
 class TestBiasValidation:
