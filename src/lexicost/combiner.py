@@ -40,13 +40,20 @@ all entries the two may select different optima of equal cost.
 time, each with a larger id than the last, without solving from scratch.
 When entry e arrives, either an entry of the non-dominated front dominates
 it, and nothing changes; or e joins the front and evicts the entries it
-dominates.  If none of those was selected, the old optimum is still the best
-selection without e, so the same search runs with e forced into every
-selection and the old optimum's key as the incumbent; only a strictly
-smaller key replaces it.  Otherwise the pool is solved from scratch.  The
+dominates.  If one of those was selected, the pool is solved from scratch.
+Otherwise the old optimum is still the best selection without e, so the
+same search runs with e forced into every selection and the old optimum's
+key K as the incumbent; only a strictly smaller key replaces it.  The
 incumbent is the old key, not the learner's best cost: that cost is a
 union's, whose size can be below the summed sizes when entries share rules,
 so it is no bound on the summed-size cost this search minimises.
+
+The forced search skips each selection S that covers all of e's positives.
+S lies in the old front within the budget, so key(S) >= K; S ∪ {e} has S's
+positives, no lower fp or size and, at equal cost, S's ids followed by the
+largest id, so its key exceeds key(S).  Every superset of S covers them
+too, so entries whose positives contain e's are left out of the search and
+no include that makes S cover them is pushed.
 """
 
 from __future__ import annotations
@@ -250,37 +257,46 @@ def _search(p: CombineProblem, order: list[PromisingEntry],
     no smaller than the incumbent: its ids, `forced` left out, are a prefix
     of the ids of every selection below it.  A node that survives that test
     gets `_reach_cut`'s dearer one when it is popped.
+
+    With `forced` given, `best` must be no larger than the key of any
+    feasible selection of `order` alone; then no selection that covers all
+    of `forced`'s positives is searched (see the module docstring).  A node
+    carries `left`, the positives of `forced` that its selection leaves
+    uncovered.
     """
     budget = float("inf") if p.max_rules is None else p.max_rules
-    bound, suffix = _bound(order, p)
-    cut = _reach_cut(order, suffix, p)
-    n = len(order)
     if forced is None:
         pos = neg = size = rules = 0
         tail: tuple[int, ...] = ()
+        left = -1  # no forced entry: no include is ruled out
     else:
         pos, neg = forced.pos_bits, forced.neg_bits
         size, rules = forced.size, forced.rules
         tail = (forced.id,)
-        if rules > budget:
+        left = forced.pos_bits
+        if rules > budget or not left:
             return best
+        order = [e for e in order if left & ~e.pos_bits]
+    bound, suffix = _bound(order, p)
+    cut = _reach_cut(order, suffix, p)
+    n = len(order)
     key = (bound(n, pos, neg, size), tail)
     best = key if best is None else min(best, key)
-    stack = [(bound(0, pos, neg, size), (), 0, pos, neg, size, rules)]
+    stack = [(bound(0, pos, neg, size), (), 0, pos, neg, size, rules, left)]
     while stack:
-        lb, ids, i, pos, neg, size, rules = stack.pop()
+        lb, ids, i, pos, neg, size, rules, left = stack.pop()
         if (lb, ids) >= best or i == n or (
                 cut is not None and cut(i, pos, neg, lb, ids, best)):
             continue
         e = order[i]
-        out = (bound(i + 1, pos, neg, size), ids, i + 1, pos, neg, size, rules)
-        if rules + e.rules > budget:
+        out = (bound(i + 1, pos, neg, size), ids, i + 1, pos, neg, size, rules, left)
+        if rules + e.rules > budget or not left & ~e.pos_bits:
             stack.append(out)
             continue
         pos, neg, size = pos | e.pos_bits, neg | e.neg_bits, size + e.size
         ids += (e.id,)
         inc = (bound(i + 1, pos, neg, size), ids, i + 1, pos, neg, size,
-               rules + e.rules)
+               rules + e.rules, left & ~e.pos_bits)
         best = min(best, (bound(n, pos, neg, size), ids + tail))
         if inc[0] <= out[0]:
             stack += (out, inc)

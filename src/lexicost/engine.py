@@ -6,6 +6,12 @@ fact store, draws and tests each candidate once for every `learn` call on
 the task; a candidate covering no positive prunes its specialisations.  It
 draws one program size at a time, so no size above a run's cap is listed.
 
+A `Task` holds, for its lifetime: its fact store and that store's hash
+indexes, the walk's items (each drawn program with its coverage and
+confusion), and the evaluator's component index, one int per distinct body
+component per example set.  All are freed with the task; `max_atoms`
+bounds none of them, only the atoms one coverage call derives.
+
 Each candidate is tested standalone and may update the best hypothesis
 directly (this is how recursive solutions are found).  Non-recursive
 candidates covering at least one positive example join the promising pool,

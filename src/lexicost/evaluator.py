@@ -10,21 +10,30 @@ Facts live in a store holding one tuple set per (predicate, arity).  An
 index on a set of bound positions is built the first time a join probes
 that relation with that binding pattern, and kept.  A task's store is
 built on its first coverage call, not while parsing, and serves every later
-call on the same task.
+call on the same task, as does its component index.
 
 Coverage takes one of two paths:
 
-- Goal-directed, when no body literal uses a predicate that a rule of the
-  program defines.  For each example, the head is bound to the example's
-  arguments and the body is searched for one satisfying binding, stopping at
-  the first.  No head relation is built: this path derives at most one head
-  atom per example, and only those atoms count against `max_atoms`.
+- Factorised, when no body literal uses a predicate that a rule of the
+  program defines.  With the head bound to an example, a body splits into
+  components: groups of literals linked by variables that the head does not
+  bind.  The body has a solution exactly when each component has one, so a
+  rule covers the AND of its components' bitsets and the program the OR of
+  its rules'.  A component's bitset over an example set is computed once,
+  by one join per example that stops at the first solution, and kept in the
+  task's component index, one map per example set.  Its key is the head's
+  predicate and argument pattern plus the component's literals, with slots
+  numbered by first occurrence and constants kept (`_compile`).  The covered
+  examples, at most one head atom each, count against `max_atoms`.
 - Semi-naive otherwise, as is `least_model` for every program.  The derived
   relations live in a per-call overlay on the store; their indexes are
   extended as atoms arrive.  After the first round a rule fires only through
   a body literal that reads an atom of the previous round, and each round
   plans those delta joins when it runs.  Every derived atom counts against
   `max_atoms`.
+
+A task keeps its store and its component index (one int per distinct
+component per example set) for its lifetime; `max_atoms` bounds neither.
 """
 
 from __future__ import annotations
@@ -160,7 +169,9 @@ class _CompiledRule(NamedTuple):
     constant_slots: frozenset[int]
 
 
-def _compile_rule(rule: Rule) -> _CompiledRule:
+def _compile(head: Atom, body: Iterable[Atom]) -> _CompiledRule:
+    """Slots numbered by first occurrence, head first; equal results for
+    equal atoms up to a renaming of variables."""
     slots: dict[str, int] = {}
     template: list[str | None] = []
 
@@ -174,16 +185,24 @@ def _compile_rule(rule: Rule) -> _CompiledRule:
             out.append(slots[t])
         return tuple(out)
 
-    head = slots_of(rule.head)
-    body = tuple(((a.predicate, a.arity), slots_of(a)) for a in rule.body)
-    in_body = {s for _, ss in body for s in ss}
-    if any(template[s] is None and s not in in_body for s in head):
+    head_slots = slots_of(head)
+    body_slots = tuple(((a.predicate, a.arity), slots_of(a)) for a in body)
+    return _CompiledRule((head.predicate, head.arity), head_slots, body_slots,
+                         tuple(template),
+                         frozenset(s for s, c in enumerate(template) if c is not None))
+
+
+def _check_range_restricted(rule: Rule) -> None:
+    in_body = {t for a in rule.body for t in a.args}
+    if any(is_var(t) and t not in in_body for t in rule.head.args):
         raise LexicostError(
             f"rule is not range-restricted (head variable missing from body): {rule}"
         )
-    return _CompiledRule((rule.head.predicate, rule.head.arity), head, body,
-                         tuple(template),
-                         frozenset(s for s, c in enumerate(template) if c is not None))
+
+
+def _compile_rule(rule: Rule) -> _CompiledRule:
+    _check_range_restricted(rule)
+    return _compile(rule.head, rule.body)
 
 
 def _split(slots: tuple[int, ...], bound: set[int]):
@@ -257,41 +276,58 @@ def _join(steps, env: list, i: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# Goal-directed coverage
+# Factorised coverage
 # ---------------------------------------------------------------------------
 
 
-def _goal_directed(rules: list[_CompiledRule], store: _Store, max_atoms: int):
-    """A test of one ground atom against rules whose bodies read only the
-    store: some rule's head binds to it and its body has a solution.  The
-    atom is never a fact, since no background fact uses a head predicate."""
-    by_head: dict[_Key, list] = {}
-    for r in rules:
-        bound = set(r.constant_slots)
-        constants, binds, repeats = _split(r.head, bound)
-        checks = repeats + tuple((p, r.head[p]) for p in constants)
-        steps = _plan(r.body, bound, store)
-        by_head.setdefault(r.head_key, []).append(
-            (list(r.template), binds, checks, steps)
-        )
+def _components(rule: Rule) -> list[_CompiledRule]:
+    """The rule's body components, each compiled with the rule's head: the
+    body split into groups of literals linked by variables that the head
+    does not bind.  With the head bound, the body has a solution exactly
+    when every component has one.  A body-less rule is one component."""
+    _check_range_restricted(rule)
+    head = rule.head.args
+    groups: list[tuple[set[str], list[int]]] = []
+    for i, a in enumerate(rule.body):
+        free = {t for t in a.args if is_var(t) and t not in head}
+        linked = [g for g in groups if g[0] & free]
+        groups = [g for g in groups if not g[0] & free]
+        groups.append((free.union(*(g[0] for g in linked)),
+                       sorted([i, *(j for g in linked for j in g[1])])))
+    return [_compile(rule.head, [rule.body[j] for j in js])
+            for _, js in groups or [(set(), [])]]
 
-    derived = 0
 
-    def holds(key: _Key, args: tuple[str, ...]) -> bool:
-        nonlocal derived
-        for env, binds, checks, steps in by_head.get(key, ()):
-            for p, s in binds:
-                env[s] = args[p]
-            if all(args[p] == env[s] for p, s in checks) and any(_join(steps, env)):
-                derived += 1
-                if derived > max_atoms:
-                    raise ResourceLimitError(
-                        f"coverage derived more than {max_atoms} atoms"
-                    )
-                return True
-        return False
+def _component_bits(c: _CompiledRule, examples: tuple[Atom, ...], store: _Store) -> int:
+    """Bit i set when example i binds to `c`'s head and its body has a
+    solution over the store; the search stops at the first solution."""
+    bound = set(c.constant_slots)
+    constants, binds, repeats = _split(c.head, bound)
+    checks = repeats + tuple((p, c.head[p]) for p in constants)
+    steps = _plan(c.body, bound, store)
+    env = list(c.template)
+    out = 0
+    for i, a in enumerate(examples):
+        args = a.args
+        if (a.predicate, len(args)) != c.head_key:
+            continue
+        for p, s in binds:
+            env[s] = args[p]
+        if all(args[p] == env[s] for p, s in checks) and any(_join(steps, env)):
+            out |= 1 << i
+    return out
 
-    return holds
+
+def _component_index(t: Task, pos: tuple[Atom, ...], neg: tuple[Atom, ...]) -> dict:
+    """The task's map from a component to its bits over `pos + neg`, one
+    map per example set, made by the first call and kept on the task."""
+    maps = kept(t, "_component_index", list)
+    for p, n, known in maps:
+        if p == pos and n == neg:
+            return known
+    index: dict[_CompiledRule, int] = {}
+    maps.append((pos, neg, index))
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -367,24 +403,28 @@ def coverage_of_examples(
 ) -> Coverage:
     """Which of the given examples the hypothesis entails over the task's
     background facts."""
-    rules = [_compile_rule(r) for r in p.rules]
     store = fact_store(t)
+    examples = pos + neg
+    covered = 0
     if p.is_recursive:
-        model = _fixpoint(rules, store, max_atoms)
-
-        def holds(key: _Key, args: tuple[str, ...]) -> bool:
-            return args in model[key].tuples
-    else:
-        holds = _goal_directed(rules, store, max_atoms)
-
-    def bits(examples: tuple[Atom, ...]) -> int:
-        out = 0
+        model = _fixpoint([_compile_rule(r) for r in p.rules], store, max_atoms)
         for i, a in enumerate(examples):
-            if holds((a.predicate, len(a.args)), a.args):
-                out |= 1 << i
-        return out
-
-    return Coverage(bits(pos), bits(neg), len(pos), len(neg))
+            if a.args in model[(a.predicate, a.arity)].tuples:
+                covered |= 1 << i
+    else:
+        index = _component_index(t, pos, neg)
+        for r in p.rules:
+            rule_bits = -1
+            for c in _components(r):
+                bits = index.get(c)
+                if bits is None:
+                    bits = index[c] = _component_bits(c, examples, store)
+                rule_bits &= bits
+            covered |= rule_bits
+        if covered.bit_count() > max_atoms:
+            raise ResourceLimitError(f"coverage derived more than {max_atoms} atoms")
+    n = len(pos)
+    return Coverage(covered & ((1 << n) - 1), covered >> n, n, len(neg))
 
 
 def coverage(p: Program, t: Task, *, max_atoms: int = DEFAULT_ATOM_CAP) -> Coverage:

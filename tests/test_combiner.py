@@ -303,30 +303,45 @@ class TestCombinePool:
 
     def test_random_pools_match_brute_force_at_every_prefix(self):
         # budgeted pools of multi-rule entries, where some arrivals are built
-        # to dominate a selected entry
-        specs = [parse_cost_spec(name) for name in CUT_SPECS]
+        # to dominate a selected entry and about half specialise an earlier
+        # one (no more positives or negatives, no smaller): the arrivals a
+        # forced search rules most selections out for
+        specs = [parse_cost_spec(name) for name in CUT_SPECS + ("custom:fp+fn,fn",)]
         rng = random.Random(50)
         seen = set()
-        for trial in range(220):
+        for trial in range(300):
             spec = specs[trial % len(specs)]
             n_pos, n_neg = rng.randint(1, 8), rng.randint(0, 8)
             max_rules = rng.choice((None, 2, 3, 4))
             pool = CombinePool(n_pos, n_neg, spec, max_rules=max_rules)
             for i in range(rng.randint(1, 14)):
                 chosen = pool.solution.selected
-                if chosen and rng.random() < 0.3:
+                draw = rng.random()
+                if chosen and draw < 0.2:
                     f = pool.entries[rng.choice(chosen)]
                     e = PromisingEntry(
                         id=i, rules=rng.randint(1, f.rules),
                         pos_bits=f.pos_bits | (1 << rng.randrange(n_pos)),
                         neg_bits=f.neg_bits & rng.getrandbits(n_neg),
                         size=rng.randint(1, f.size))
+                elif pool.entries and draw < 0.7:
+                    f = rng.choice(pool.entries)
+                    e = PromisingEntry(
+                        id=i, rules=f.rules,
+                        pos_bits=f.pos_bits & rng.getrandbits(n_pos),
+                        neg_bits=f.neg_bits & rng.getrandbits(n_neg),
+                        size=f.size + rng.randint(0, 2))
                 else:
                     e = entry(i, rng.randint(2, 8),
                               "".join(rng.choice("01") for _ in range(n_pos)),
                               "".join(rng.choice("01") for _ in range(n_neg)),
                               rules=rng.randint(1, 3))
+                before = pool.solution.selected
                 case = pool.insert(e)
+                front = non_dominated(pool.entries)
+                assert case == (SKIP if e not in front else
+                                FULL if set(before) - {f.id for f in front} else
+                                FORCED), (trial, i)
                 seen.add(case)
                 if case == FULL:
                     pool.solution = optimal_combination(pool.problem())

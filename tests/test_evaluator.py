@@ -12,12 +12,15 @@ from lexicost.evaluator import (
     bits_to_string,
     confusion,
     coverage,
+    coverage_of_examples,
     fact_store,
     least_model,
     string_to_bits,
 )
 from lexicost.generator import theta_subsumes
 from lexicost.kb import Program, Rule, atom, parse_program, parse_rule, parse_task
+from dataclasses import replace
+
 from conftest import TRAINS_BIAS, TRAINS_BK, TRAINS_EXS, make_task
 from oracles import (
     naive_coverage_bits,
@@ -378,6 +381,97 @@ class TestIndexedCoverage:
         conf = coverage(parse_program("east(A):- has_car(A,B),roof(B)."), task)
         assert (conf.pos_bits, conf.neg_bits) == (0, 0)
         assert set(fact_store(task)) == keys
+
+
+# Random non-recursive programs for the factorised-coverage property: heads
+# of arity 1-2 over the head variables A and B or constants, and bodies made
+# of up to three groups of literals, each group reading the head's terms,
+# constants and variables of its own, so that a body splits into 1-3 or more
+# components.
+_NR_HEADS = (("f", 1), ("g", 2))
+
+
+@st.composite
+def _factorised_rules(draw):
+    hp, ha = draw(st.sampled_from(_NR_HEADS))
+    head = atom(hp, *draw(st.lists(st.sampled_from(("A", "B", *_CONSTANTS)),
+                                   min_size=ha, max_size=ha)))
+    body = []
+    for g in range(draw(st.integers(1, 3))):
+        terms = st.sampled_from((*head.variables(), f"C{g}", f"C{g}", f"D{g}",
+                                 *_CONSTANTS))
+        for pred, arity in draw(st.lists(st.sampled_from(_BODY), min_size=1,
+                                         max_size=2)):
+            body.append(atom(pred, *draw(st.lists(terms, min_size=arity,
+                                                  max_size=arity))))
+    in_body = {v for a in body for v in a.variables()}
+    body += [atom("p", v) for v in head.variables() if v not in in_body]
+    return Rule(head, body)
+
+
+@st.composite
+def _shared_cases(draw):
+    """A task, two to four programs, and a second example set."""
+    facts = draw(st.sets(st.sampled_from(
+        [a for key in _BODY for a in _ground_atoms[key]]), max_size=20))
+    head_atoms = [a for key in _NR_HEADS for a in _ground_atoms[key]]
+
+    def labelled():
+        xs = draw(st.lists(st.sampled_from(head_atoms), min_size=1, max_size=8,
+                           unique=True))
+        n_pos = draw(st.integers(1, len(xs)))
+        return xs[:n_pos], xs[n_pos:]
+
+    task = _task(facts, *labelled())
+    pos2, neg2 = labelled()
+    programs = draw(st.lists(
+        st.lists(_factorised_rules(), min_size=1, max_size=3).map(Program),
+        min_size=2, max_size=4))
+    return task, tuple(pos2), tuple(neg2), programs
+
+
+_DISTINCT_PROGRAMS = ("g(A,B):- p(A),q(B).", "g(A,B):- p(B),q(A).",
+                      "g(A,B):- e(B,B),p(A).", "f(A):- e(A,a).", "f(A):- e(A,b).")
+
+
+def _shared_case(facts, pos, neg, pos2, neg2, *programs):
+    task, _ = _case(facts, pos, neg, "")
+    second, _ = _case("", pos2, neg2, "")
+    return task, second.pos, second.neg, [parse_program(p) for p in programs]
+
+
+class TestFactorisedCoverage:
+    """Coverage of non-recursive programs through the task's component
+    index: programs run one after another on one task, and on a second
+    example set of it, so later ones read what earlier ones stored."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_shared_cases())
+    # components that differ only by which head argument they read, or
+    # only by a constant; p(A) is shared by the first and third programs
+    @example(_shared_case("p(a) q(b) e(a,a) e(b,b)", "g(a,b) f(a)", "g(b,a) f(b)",
+                          "f(b) g(b,b)", "f(c) g(a,a)", *_DISTINCT_PROGRAMS))
+    def test_matches_naive_oracle(self, case):
+        task, pos2, neg2, programs = case
+        second = replace(task, pos=pos2, neg=neg2)
+        for program in programs:
+            cov = coverage(program, task)
+            assert (cov.pos_bits, cov.neg_bits) == naive_coverage_bits(program, task)
+            cov = coverage_of_examples(program, task, pos2, neg2)
+            assert (cov.pos_bits, cov.neg_bits) == naive_coverage_bits(program, second)
+        maps = vars(task)["_component_index"]
+        assert len(maps) == (1 if (pos2, neg2) == (task.pos, task.neg) else 2)
+
+    def test_distinct_components_get_distinct_entries(self):
+        task, _, _, programs = _shared_case(
+            "p(a) q(b) e(a,a) e(b,b)", "g(a,b) f(a)", "g(b,a) f(b)", "f(b)", "",
+            *_DISTINCT_PROGRAMS)
+        bits = [coverage(p, task) for p in programs]
+        assert [(c.pos_bits, c.neg_bits) for c in bits] == [
+            (0b01, 0b00), (0b00, 0b01), (0b01, 0b00), (0b10, 0b00), (0b00, 0b10)]
+        # p(A), q(B), p(B), q(A), e(B,B), e(A,a) and e(A,b)
+        [(_, _, index)] = vars(task)["_component_index"]
+        assert len(index) == 7
 
 
 class TestConfusion:
