@@ -23,7 +23,6 @@ from .evaluator import Confusion, Coverage, confusion, coverage, least_model
 from .generator import (
     CandidateGenerator,
     Constraint,
-    is_redundant,
     program_subsumes,
     theta_subsumes,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "evaluate",
     "evaluate_on_test",
     "generator_size_bound",
-    "is_redundant",
     "learn",
     "least_model",
     "optimal_combination",

@@ -1,15 +1,16 @@
-"""Exact minimisation of a lexicographic cost over unions of promising programs.
+"""Exact minimisation of a lexicographic cost over unions of promising rules.
 
-Selecting a subset of promising (non-recursive, positively-covering) programs
-yields a union whose coverage is the bitwise OR of the members' coverages and
-whose charged size is the sum of the members' sizes.  `optimal_combination`
-finds a subset whose cost vector is lexicographically minimal over all 2^n
-subsets (optionally only those within a rule-count budget, keeping the union
-inside a bias-bounded space).  It first drops dominated entries, which never
-changes the optimal cost: it adds the entries in id order to a non-dominated
-front by the step `CombinePool.insert` takes (`_admit`).  Then it runs one
-depth-first branch and bound over include/exclude decisions in id order, a
-loop over an explicit stack, so the pool size is limited by time, not by the
+Selecting a subset of promising rules (each covers a positive and uses no
+head predicate) yields a union whose coverage is the bitwise OR of the
+members' coverages and whose size is the sum of the members' sizes.
+`optimal_combination` finds a subset whose cost vector is lexicographically
+minimal over all 2^n subsets (optionally only those of at most `max_rules`
+entries, keeping the union inside a bias-bounded space).  It first drops
+dominated entries, which never changes the optimal cost: it adds the
+entries in id order to a non-dominated front by the step
+`CombinePool.insert` takes (`_admit`).  Then it runs one depth-first branch
+and bound over include/exclude decisions in id order, a loop over an
+explicit stack, so the pool size is limited by time, not by the
 interpreter's stack:
 
 - the key of a selection is `(cost, sorted ids)`, and the incumbent is the
@@ -43,10 +44,7 @@ it, and nothing changes; or e joins the front and evicts the entries it
 dominates.  If one of those was selected, the pool is solved from scratch.
 Otherwise the old optimum is still the best selection without e, so the
 same search runs with e forced into every selection and the old optimum's
-key K as the incumbent; only a strictly smaller key replaces it.  The
-incumbent is the old key, not the learner's best cost: that cost is a
-union's, whose size can be below the summed sizes when entries share rules,
-so it is no bound on the summed-size cost this search minimises.
+key K as the incumbent; only a strictly smaller key replaces it.
 
 The forced search skips each selection S that covers all of e's positives.
 S lies in the old front within the budget, so key(S) >= K; S ∪ {e} has S's
@@ -68,8 +66,9 @@ from .evaluator import Confusion, bits_to_string, confusion_of, string_to_bits
 
 @dataclass(frozen=True)
 class PromisingEntry:
+    """A promising rule: the examples it covers and its size in literals."""
+
     id: int
-    rules: int  # the rule count of the entry's program
     pos_bits: int
     neg_bits: int
     size: int
@@ -81,7 +80,7 @@ class CombineProblem:
     n_pos: int
     n_neg: int
     spec: CostSpec
-    # when set, a hard budget on the summed rule count of the selection, so
+    # when set, a hard budget on the number of selected entries (rules), so
     # the union stays inside a bias-bounded hypothesis space
     max_rules: int | None = None
 
@@ -216,15 +215,13 @@ def _reach_cut(order: list[PromisingEntry], suffix: list[int], p: CombineProblem
 
 def _dominates(e1: PromisingEntry, e2: PromisingEntry) -> bool:
     """e1 renders e2 unnecessary: covers no fewer positives, no more
-    negatives, is no larger in literals or in rules, and is strictly better
-    somewhere (id breaks exact ties)."""
+    negatives, is no larger, and is strictly better somewhere (id breaks
+    exact ties)."""
     if e2.pos_bits & ~e1.pos_bits:
         return False
     if e1.neg_bits & ~e2.neg_bits:
         return False
     if e1.size > e2.size:
-        return False
-    if e1.rules > e2.rules:
         return False
     if (e1.pos_bits, e1.neg_bits, e1.size) != (e2.pos_bits, e2.neg_bits, e2.size):
         return True
@@ -264,17 +261,18 @@ def _search(p: CombineProblem, order: list[PromisingEntry],
     carries `left`, the positives of `forced` that its selection leaves
     uncovered.
     """
-    budget = float("inf") if p.max_rules is None else p.max_rules
+    # how many entries of `order` a selection may take
+    room = float("inf") if p.max_rules is None else p.max_rules
     if forced is None:
-        pos = neg = size = rules = 0
+        pos = neg = size = 0
         tail: tuple[int, ...] = ()
         left = -1  # no forced entry: no include is ruled out
     else:
-        pos, neg = forced.pos_bits, forced.neg_bits
-        size, rules = forced.size, forced.rules
+        pos, neg, size = forced.pos_bits, forced.neg_bits, forced.size
         tail = (forced.id,)
         left = forced.pos_bits
-        if rules > budget or not left:
+        room -= 1
+        if room < 0 or not left:
             return best
         order = [e for e in order if left & ~e.pos_bits]
     bound, suffix = _bound(order, p)
@@ -282,21 +280,21 @@ def _search(p: CombineProblem, order: list[PromisingEntry],
     n = len(order)
     key = (bound(n, pos, neg, size), tail)
     best = key if best is None else min(best, key)
-    stack = [(bound(0, pos, neg, size), (), 0, pos, neg, size, rules, left)]
+    stack = [(bound(0, pos, neg, size), (), 0, pos, neg, size, left)]
     while stack:
-        lb, ids, i, pos, neg, size, rules, left = stack.pop()
+        lb, ids, i, pos, neg, size, left = stack.pop()
         if (lb, ids) >= best or i == n or (
                 cut is not None and cut(i, pos, neg, lb, ids, best)):
             continue
         e = order[i]
-        out = (bound(i + 1, pos, neg, size), ids, i + 1, pos, neg, size, rules, left)
-        if rules + e.rules > budget or not left & ~e.pos_bits:
+        out = (bound(i + 1, pos, neg, size), ids, i + 1, pos, neg, size, left)
+        if len(ids) >= room or not left & ~e.pos_bits:
             stack.append(out)
             continue
         pos, neg, size = pos | e.pos_bits, neg | e.neg_bits, size + e.size
         ids += (e.id,)
         inc = (bound(i + 1, pos, neg, size), ids, i + 1, pos, neg, size,
-               rules + e.rules, left & ~e.pos_bits)
+               left & ~e.pos_bits)
         best = min(best, (bound(n, pos, neg, size), ids + tail))
         if inc[0] <= out[0]:
             stack += (out, inc)
@@ -364,7 +362,7 @@ class CombinePool:
 
 def dump_problem(p: CombineProblem) -> str:
     """A `max_rules N` line (`-` for no budget), then one entry per line:
-    `id size rules pos_bits neg_bits`, with bitstrings.
+    `id size pos_bits neg_bits`, with bitstrings.
 
     A zero-length bitset (e.g. a task with no negatives) is written as `-`.
     """
@@ -374,8 +372,7 @@ def dump_problem(p: CombineProblem) -> str:
 
     budget = "-" if p.max_rules is None else p.max_rules
     return "\n".join([f"max_rules {budget}"] + [
-        f"{e.id} {e.size} {e.rules} {bstr(e.pos_bits, p.n_pos)} "
-        f"{bstr(e.neg_bits, p.n_neg)}"
+        f"{e.id} {e.size} {bstr(e.pos_bits, p.n_pos)} {bstr(e.neg_bits, p.n_neg)}"
         for e in p.entries
     ])
 
@@ -384,7 +381,7 @@ def parse_problem(text: str, spec: CostSpec) -> CombineProblem:
     """Inverse of dump_problem; an empty text is an empty problem.
 
     A malformed dump raises `ParseError` naming its first bad line: a first
-    line that is not the `max_rules` header, an entry line without five
+    line that is not the `max_rules` header, an entry line without four
     fields or with a count that is not a natural number, a repeated id, a
     coverage field that is neither `-` nor a bitstring, or bitstrings whose
     lengths differ from the first entry's.
@@ -400,10 +397,10 @@ def parse_problem(text: str, spec: CostSpec) -> CombineProblem:
     entries: list[PromisingEntry] = []
     lengths = (0, 0)
     for k, fields in rows:
-        if len(fields) != 5 or not all(f.isdecimal() for f in fields[:3]):
-            raise ParseError("expected `id size rules pos neg`", k, 1)
-        ident, size, rules = map(int, fields[:3])
-        pos_s, neg_s = ("" if b == "-" else b for b in fields[3:])
+        if len(fields) != 4 or not all(f.isdecimal() for f in fields[:2]):
+            raise ParseError("expected `id size pos neg`", k, 1)
+        ident, size = map(int, fields[:2])
+        pos_s, neg_s = ("" if b == "-" else b for b in fields[2:])
         if any(e.id == ident for e in entries):
             raise ParseError(f"repeated entry id {ident}", k, 1)
         if pos_s.strip("01") or neg_s.strip("01"):
@@ -413,8 +410,7 @@ def parse_problem(text: str, spec: CostSpec) -> CombineProblem:
         elif (len(pos_s), len(neg_s)) != lengths:
             raise ParseError(f"bitstring lengths {len(pos_s)}/{len(neg_s)} differ "
                              f"from the first entry's {lengths[0]}/{lengths[1]}", k, 1)
-        entries.append(PromisingEntry(id=ident, rules=rules,
-                                      pos_bits=string_to_bits(pos_s),
+        entries.append(PromisingEntry(id=ident, pos_bits=string_to_bits(pos_s),
                                       neg_bits=string_to_bits(neg_s), size=size))
     return CombineProblem(tuple(entries), *lengths, spec,
                           max_rules=None if header[1] == "-" else int(header[1]))

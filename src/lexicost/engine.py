@@ -13,18 +13,19 @@ component per example set.  All are freed with the task; `max_atoms`
 bounds none of them, only the atoms one coverage call derives.
 
 Each candidate is tested standalone and may update the best hypothesis
-directly (this is how recursive solutions are found).  Non-recursive
-candidates covering at least one positive example join the promising pool,
-over which the combine stage selects an exactly optimal union.  The pool is a
-`CombinePool`: a new entry that an older one dominates changes nothing, one
-that evicts no selected entry is searched only in the unions that contain it,
-and only one that evicts a selected entry makes the learner solve the whole
-pool again with `optimal_combination`; `LearnStats` counts the first and last
-kinds.  The union is built only when the selection changes.  When the cost
-function charges for size, the run's size cap shrinks as the best cost
-improves; the run ends where the walk has no item within it, and the end
-of the stream within the cap proves global optimality over the bias-defined
-space.
+directly (this is how recursive solutions are found).  Candidates that use
+no head predicate in a body and cover at least one positive example join
+the promising pool, over which the combine stage selects an exactly optimal
+union; each is one rule, since the generator lists only non-separable
+multi-rule candidates.  The pool is a `CombinePool`: a new entry that an
+older one dominates changes nothing, one that evicts no selected entry is
+searched only in the unions that contain it, and only one that evicts a
+selected entry makes the learner solve the whole pool again with
+`optimal_combination`; `LearnStats` counts the first and last kinds.  The
+union is built only when the selection changes.  When the cost function
+charges for size, the run's size cap shrinks as the best cost improves; the
+run ends where the walk has no item within it, and the end of the stream
+within the cap proves global optimality over the bias-defined space.
 
 The loop also stops, with the same proof, as soon as the best cost is all
 zeros: every cost component is a sum of non-negative counts, so nothing can
@@ -58,7 +59,7 @@ from .evaluator import (
     coverage_of_examples,
 )
 from .generator import CandidateGenerator, prune_specializations
-from .kb import EMPTY_PROGRAM, Atom, Bias, Program, Task, kept, validate_example
+from .kb import EMPTY_PROGRAM, Atom, Bias, Program, Rule, Task, kept, validate_example
 
 PROOF_OPTIMAL = "optimal"
 PROOF_CAP_EXHAUSTED = "cap-exhausted"
@@ -114,7 +115,8 @@ def _admissible(
     is only exact when no selected rule consumes a predicate another rule can
     derive; requiring that no body literal uses any declared head predicate
     guarantees it for every possible union.  Every generated rule head is a
-    head predicate, so this also excludes recursive programs.
+    head predicate, so this also excludes recursive programs and every
+    multi-rule candidate, which is non-separable: each entry is one rule.
     Entries must cover a positive, and when false positives are the leading
     objective they must cover no negative: a union containing such an entry
     could never beat the empty hypothesis.
@@ -180,7 +182,7 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
     best_cost = evaluate(spec, best_conf, 0)
 
     pool = CombinePool(n_pos, n_neg, spec, max_rules=t.bias.max_clauses)
-    programs: list[Program] = []  # the program of each entry, by id
+    rules: list[Rule] = []  # the rule of each entry, by id
     proof = PROOF_OPTIMAL
     history: list[CostVector] = [best_cost]
 
@@ -203,9 +205,10 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
             history.append(best_cost)
 
         if _admissible(h, conf, spec, t.bias.head_preds):
-            entry = PromisingEntry(id=len(programs), rules=len(h.rules), size=h.size,
+            entry = PromisingEntry(id=len(rules), size=h.size,
                                    pos_bits=cov.pos_bits, neg_bits=cov.neg_bits)
-            programs.append(h)
+            (rule,) = h.rules
+            rules.append(rule)
             stats.promising += 1
             before = pool.solution
             case = pool.insert(entry)
@@ -217,12 +220,10 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
             sol = pool.solution
             # an unchanged selection cannot beat `best_cost`, which is no
             # larger than its union's cost since it was selected
-            if sol is not before:
-                union = Program(r for i in sol.selected for r in programs[i].rules)
-                ucost = evaluate(spec, sol.conf, union.size)
-                if ucost < best_cost:
-                    best_prog, best_conf, best_cost = union, sol.conf, ucost
-                    history.append(best_cost)
+            if sol is not before and sol.cost < best_cost:
+                best_prog = Program(rules[i] for i in sol.selected)
+                best_conf, best_cost = sol.conf, sol.cost
+                history.append(best_cost)
 
         bound = generator_size_bound(spec, best_cost)
         if bound is not None:
@@ -234,7 +235,7 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
         train_conf=best_conf,
         stats=stats,
         proof=proof,
-        final_problem=pool.problem() if programs else None,
+        final_problem=pool.problem() if rules else None,
         cost_history=tuple(history),
     )
 

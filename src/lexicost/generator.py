@@ -1,13 +1,15 @@
 """Candidate-program enumeration within a bias, with constraint pruning.
 
-The generator yields every bias-respecting, non-redundant program exactly
+The generator yields every bias-respecting, non-redundant candidate exactly
 once, in nondecreasing total size, breaking ties within a size class by the
 sort keys of the programs' rules.  Hypothesis rules draw body predicates from
 the bias's body predicates (plus head predicates when recursion is enabled),
 use only variables, have distinct canonical head variables, and must be safe
 (head variables occur in the body) and connected.  Multi-rule candidates are
-produced only when recursion is enabled; non-recursive unions are the
-combine stage's job.
+produced only when recursion is enabled, and only non-separable ones
+(`kb.non_separable`): some rule's body uses a predicate that a rule of the
+program defines.  A separable union covers what its rules cover, each of
+them a smaller candidate of its own, so the combine stage builds it.
 
 Rules are enumerated over indices into the literal pool, sorted by
 `Atom.sort_key`: a body is an ascending index tuple, and only the least
@@ -22,7 +24,7 @@ import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
-from .kb import Atom, Bias, Program, Rule, is_var, kept, variable_name
+from .kb import Atom, Bias, Program, Rule, is_var, kept, non_separable, variable_name
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ def program_subsumes(p1: Program, p2: Program) -> bool:
 
 def _connected(head_vars, body_vars) -> bool:
     """Every body literal reaches the head through a chain of shared
-    variables; the head's and each literal's variables are sets or bitmasks."""
+    variables; the head's and each literal's variables are bitmasks."""
     connected = head_vars
     pending = list(body_vars)
     progress = True
@@ -108,26 +110,9 @@ def _connected(head_vars, body_vars) -> bool:
     return not pending
 
 
-def _rule_redundant(r: Rule) -> bool:
-    head_vars = set(r.head.variables())
-    body_vars = [set(a.variables()) for a in r.body]
-    # unused head variable: the rule is unsafe under least-model semantics
-    if not head_vars <= set().union(*body_vars):
-        return True
-    # a body literal equal to the head can never derive anything new
-    if r.head in r.body:
-        return True
-    return not _connected(head_vars, body_vars)
-
-
 def _one_subsumes_another(rules: Sequence[Rule]) -> bool:
     """Some rule theta-subsumes another, which the union therefore does not need."""
     return any(theta_subsumes(r1, r2) for r1, r2 in itertools.permutations(rules, 2))
-
-
-def is_redundant(p: Program) -> bool:
-    """Obviously-simplifiable program: a removable literal or a subsumed rule."""
-    return any(_rule_redundant(r) for r in p.rules) or _one_subsumes_another(p.rules)
 
 
 def _all_rules_can_fire(rules: Sequence[Rule], edb_preds: frozenset[tuple[str, int]]) -> bool:
@@ -277,8 +262,9 @@ def list_candidates(bias: Bias, size: int) -> list[tuple[int, ...]]:
     """Every candidate program of total size `size`, as sorted rule-id tuples.
 
     The candidates are the rules of that size and, under recursion, the
-    unions of up to `max_clauses` rules in which no rule theta-subsumes
-    another; each must have only rules that can fire.  Since ids follow
+    non-separable unions of up to `max_clauses` rules in which no rule
+    theta-subsumes another; each must have only rules that can fire.  A
+    separable union is dropped before any theta-test.  Since ids follow
     `Rule.sort_key`, the list is in the order of the programs' rule sort
     keys.  No anchor or size cap filters it.  A size is listed once per
     bias, and the list is kept in the rule table for every generator over
@@ -291,6 +277,8 @@ def list_candidates(bias: Bias, size: int) -> list[tuple[int, ...]]:
         listed = []
         for ids in _unions([r.size for r in rules], 0, size, slots):
             chosen = [rules[i] for i in ids]
+            if len(ids) > 1 and not non_separable(chosen):
+                continue
             if _all_rules_can_fire(chosen, bias.body_preds) and not _one_subsumes_another(chosen):
                 listed.append(ids)
         table.candidates[size] = listed

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     ArityMismatchError,
@@ -154,16 +154,20 @@ class Program:
 
     @property
     def is_recursive(self) -> bool:
-        """True when any rule body consumes a predicate some rule defines.
+        """`non_separable` over the program's rules."""
+        return non_separable(self.rules)
 
-        This is deliberately wider than per-rule recursion: it is exactly the
-        condition under which coverage of a rule union may exceed the union of
-        the individual coverages, which is what the combine stage relies on.
-        """
-        heads = {(r.head.predicate, r.head.arity) for r in self.rules}
-        return any(
-            (a.predicate, a.arity) in heads for r in self.rules for a in r.body
-        )
+
+def non_separable(rules: Sequence[Rule]) -> bool:
+    """True when some rule's body uses a predicate that one of `rules` defines.
+
+    This is deliberately wider than per-rule recursion: it is exactly the
+    condition under which coverage of a rule union may exceed the union of
+    the individual coverages, which is what the combine stage relies on;
+    the generator lists a union of several rules only when it holds.
+    """
+    heads = {(r.head.predicate, r.head.arity) for r in rules}
+    return any((a.predicate, a.arity) in heads for r in rules for a in r.body)
 
 
 EMPTY_PROGRAM = Program()

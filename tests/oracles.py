@@ -256,14 +256,23 @@ def _oracle_program_ok(p: Program, bias: Bias) -> bool:
     )
 
 
+def _defines_a_body_predicate(p: Program) -> bool:
+    heads = {(r.head.predicate, r.head.arity) for r in p.rules}
+    return any((a.predicate, a.arity) in heads for r in p.rules for a in r.body)
+
+
 def enumerate_candidate_space(bias: Bias) -> list[Program]:
-    """The generator's declared stream contents, derived independently."""
+    """The generator's declared stream contents, derived independently: the
+    rules, and under recursion the non-separable unions of 2 .. max_clauses
+    rules (some rule's body uses a predicate that a rule of it defines)."""
     rules = [r for r in enumerate_safe_rules(bias) if _oracle_rule_ok(r)]
     out = []
     max_k = bias.max_clauses if bias.enable_recursion else 1
     for k in range(1, max_k + 1):
         for combo in itertools.combinations(rules, k):
             p = Program(combo)
+            if k > 1 and not _defines_a_body_predicate(p):
+                continue
             if len(p.rules) == k and _oracle_program_ok(p, bias):
                 out.append(p)
     return out
@@ -306,13 +315,13 @@ def non_dominated(entries) -> list:
 
     As README ("How the combine search works") defines it, f dominates e
     when f covers every positive that e covers and no negative that e does
-    not, with no more literals and no more rules.  Of two entries with the
-    same coverage and literal count, only the smaller id can dominate.
+    not, with no more literals.  Of two entries with the same coverage and
+    literal count, only the smaller id can dominate.
     """
     def dominates(f, e) -> bool:
         if not (_examples(f.pos_bits) >= _examples(e.pos_bits)
                 and _examples(f.neg_bits) <= _examples(e.neg_bits)
-                and f.size <= e.size and f.rules <= e.rules):
+                and f.size <= e.size):
             return False
         tie = (_examples(f.pos_bits) == _examples(e.pos_bits)
                and _examples(f.neg_bits) == _examples(e.neg_bits)
@@ -330,7 +339,7 @@ class TooLargeError(LexicostError):
 
 def brute_force_combination(p: CombineProblem) -> CombineSolution:
     """The selection with the smallest `(cost, sorted ids)` over all 2^n
-    subsets of at most `max_rules` rules, for |entries| <= 20."""
+    subsets of at most `max_rules` entries, for |entries| <= 20."""
     n = len(p.entries)
     if n > BRUTE_FORCE_LIMIT:
         raise TooLargeError(f"{n} entries exceeds the brute-force limit of "
@@ -340,7 +349,7 @@ def brute_force_combination(p: CombineProblem) -> CombineSolution:
     levels = cost_levels(p.spec)
     best = None
 
-    def rec(i: int, pos: int, neg: int, size: int, rules: int, ids: tuple) -> None:
+    def rec(i: int, pos: int, neg: int, size: int, ids: tuple) -> None:
         nonlocal best
         if i == n:
             tp, fp = bin(pos).count("1"), bin(neg).count("1")
@@ -351,12 +360,12 @@ def brute_force_combination(p: CombineProblem) -> CombineSolution:
                 best = (key, conf, size)
             return
         e = entries[i]
-        rec(i + 1, pos, neg, size, rules, ids)
-        if rules + e.rules <= budget:
+        rec(i + 1, pos, neg, size, ids)
+        if len(ids) < budget:
             rec(i + 1, pos | e.pos_bits, neg | e.neg_bits, size + e.size,
-                rules + e.rules, ids + (e.id,))
+                ids + (e.id,))
 
-    rec(0, 0, 0, 0, 0, ())
+    rec(0, 0, 0, 0, ())
     (cost, ids), conf, size = best
     return CombineSolution(selected=ids, cost=cost, conf=conf, total_size=size)
 

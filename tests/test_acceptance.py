@@ -60,7 +60,6 @@ def test_criterion_1_combine_exactness():
         entries = tuple(
             PromisingEntry(
                 id=i,
-                rules=0,
                 pos_bits=rng.getrandbits(n_pos),
                 neg_bits=rng.getrandbits(n_neg) if n_neg else 0,
                 size=rng.randint(2, 9),

@@ -261,8 +261,7 @@ class TestLearnCommand:
         assert header == "max_rules 1"
         assert lines
         for line in lines:
-            ident, size, rules, pos_bits, neg_bits = line.split()
-            assert rules == "1"
+            ident, size, pos_bits, neg_bits = line.split()
             assert len(pos_bits) == 2 and len(neg_bits) == 2
 
     def test_missing_test_examples_exit_2(self, trains_dir, tmp_path, capsys):

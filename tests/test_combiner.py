@@ -30,14 +30,9 @@ CUT_SPECS = ALL_SPEC_NAMES + ("custom:fn,size,fp", "custom:fn,fp+size",
                               "custom:fn+size", "custom:fp+fn+size,fp")
 
 
-def entry(i, size, pos, neg, rules=0):
-    return PromisingEntry(id=i, rules=rules, pos_bits=string_to_bits(pos),
+def entry(i, size, pos, neg):
+    return PromisingEntry(id=i, pos_bits=string_to_bits(pos),
                           neg_bits=string_to_bits(neg), size=size)
-
-
-def rule_entry(i, size, pos, neg):
-    """An entry of one rule."""
-    return entry(i, size, pos, neg, rules=1)
 
 
 def solved_over_non_dominated(p):
@@ -248,7 +243,7 @@ class TestInvariants:
 
 class TestRuleBudget:
     def test_budget_forces_single_choice(self):
-        entries = (rule_entry(0, 3, "110", "00"), rule_entry(1, 3, "011", "00"))
+        entries = (entry(0, 3, "110", "00"), entry(1, 3, "011", "00"))
         capped = CombineProblem(entries, 3, 2, NAMED_SPECS["errorsize"],
                                 max_rules=1)
         sol = optimal_combination(capped)
@@ -268,12 +263,11 @@ class TestRuleBudget:
                     i, rng.randint(2, 8),
                     "".join(rng.choice("01") for _ in range(n_pos)),
                     "".join(rng.choice("01") for _ in range(n_neg)),
-                    rules=rng.randint(1, 3),
                 )
                 for i in range(n)
             )
             p = CombineProblem(entries, n_pos, n_neg, spec,
-                               max_rules=rng.randint(1, 4))
+                               max_rules=rng.randint(0, 4))
             a = optimal_combination(p)
             b = solved_over_non_dominated(p)
             assert a.cost == b.cost == brute_force_combination(p).cost
@@ -284,10 +278,10 @@ class TestCombinePool:
     def test_three_cases(self):
         spec = NAMED_SPECS["errorsize"]
         p = CombineProblem((
-            rule_entry(0, 3, "10", ""),
-            rule_entry(1, 2, "11", ""),  # dominates the selected entry 0
-            rule_entry(2, 2, "11", ""),  # a copy of entry 1
-            rule_entry(3, 1, "01", ""),
+            entry(0, 3, "10", ""),
+            entry(1, 2, "11", ""),  # dominates the selected entry 0
+            entry(2, 2, "11", ""),  # a copy of entry 1
+            entry(3, 1, "01", ""),
         ), 2, 0, spec)
         steps = list(grow(p))
         assert [case for case, _ in steps] == [FORCED, FULL, SKIP, FORCED]
@@ -302,17 +296,18 @@ class TestCombinePool:
             pool.insert(entry(0, 2, "1", ""))
 
     def test_random_pools_match_brute_force_at_every_prefix(self):
-        # budgeted pools of multi-rule entries, where some arrivals are built
-        # to dominate a selected entry and about half specialise an earlier
-        # one (no more positives or negatives, no smaller): the arrivals a
-        # forced search rules most selections out for
+        # budgeted pools, where some arrivals are built to dominate a
+        # selected entry and about half specialise an earlier one (no more
+        # positives or negatives, no smaller): the arrivals a forced search
+        # rules most selections out for.  The case and the solution at
+        # every prefix are brute force's over the non-dominated entries
         specs = [parse_cost_spec(name) for name in CUT_SPECS + ("custom:fp+fn,fn",)]
         rng = random.Random(50)
         seen = set()
         for trial in range(300):
             spec = specs[trial % len(specs)]
             n_pos, n_neg = rng.randint(1, 8), rng.randint(0, 8)
-            max_rules = rng.choice((None, 2, 3, 4))
+            max_rules = rng.choice((None, 0, 1, 2, 3))
             pool = CombinePool(n_pos, n_neg, spec, max_rules=max_rules)
             for i in range(rng.randint(1, 14)):
                 chosen = pool.solution.selected
@@ -320,22 +315,19 @@ class TestCombinePool:
                 if chosen and draw < 0.2:
                     f = pool.entries[rng.choice(chosen)]
                     e = PromisingEntry(
-                        id=i, rules=rng.randint(1, f.rules),
-                        pos_bits=f.pos_bits | (1 << rng.randrange(n_pos)),
+                        id=i, pos_bits=f.pos_bits | (1 << rng.randrange(n_pos)),
                         neg_bits=f.neg_bits & rng.getrandbits(n_neg),
                         size=rng.randint(1, f.size))
                 elif pool.entries and draw < 0.7:
                     f = rng.choice(pool.entries)
                     e = PromisingEntry(
-                        id=i, rules=f.rules,
-                        pos_bits=f.pos_bits & rng.getrandbits(n_pos),
+                        id=i, pos_bits=f.pos_bits & rng.getrandbits(n_pos),
                         neg_bits=f.neg_bits & rng.getrandbits(n_neg),
                         size=f.size + rng.randint(0, 2))
                 else:
                     e = entry(i, rng.randint(2, 8),
                               "".join(rng.choice("01") for _ in range(n_pos)),
-                              "".join(rng.choice("01") for _ in range(n_neg)),
-                              rules=rng.randint(1, 3))
+                              "".join(rng.choice("01") for _ in range(n_neg)))
                 before = pool.solution.selected
                 case = pool.insert(e)
                 front = non_dominated(pool.entries)
@@ -348,30 +340,28 @@ class TestCombinePool:
                 oracle = solved_over_non_dominated(pool.problem())
                 assert (pool.solution.selected, pool.solution.cost) == \
                     (oracle.selected, oracle.cost), (trial, i)
+                assert pool.solution.cost == brute_force_combination(pool.problem()).cost
                 assert pool.solution == optimal_combination(pool.problem())
         assert seen == {SKIP, FORCED, FULL}
 
     def test_front_is_the_non_dominated_set(self):
-        # budgeted pools of multi-rule entries in which many arrivals tie
-        # with an earlier entry in coverage and size, with fewer, as many or
-        # more rules
+        # budgeted pools in which many arrivals tie with an earlier entry in
+        # coverage and size, so that only the id breaks the tie
         rng = random.Random(51)
         for trial in range(150):
             spec = NAMED_SPECS[ALL_SPEC_NAMES[trial % len(ALL_SPEC_NAMES)]]
             n_pos, n_neg = rng.randint(1, 4), rng.randint(0, 4)
             pool = CombinePool(n_pos, n_neg, spec,
-                               max_rules=rng.choice((None, 1, 2, 3)))
+                               max_rules=rng.choice((None, 0, 1, 2, 3)))
             for i in range(rng.randint(1, 14)):
                 if pool.entries and rng.random() < 0.4:
                     f = rng.choice(pool.entries)
-                    e = PromisingEntry(id=i, rules=rng.randint(1, 3),
-                                       pos_bits=f.pos_bits, neg_bits=f.neg_bits,
-                                       size=f.size)
+                    e = PromisingEntry(id=i, pos_bits=f.pos_bits,
+                                       neg_bits=f.neg_bits, size=f.size)
                 else:
                     e = entry(i, rng.randint(2, 4),
                               "".join(rng.choice("01") for _ in range(n_pos)),
-                              "".join(rng.choice("01") for _ in range(n_neg)),
-                              rules=rng.randint(1, 3))
+                              "".join(rng.choice("01") for _ in range(n_neg)))
                 if pool.insert(e) == FULL:
                     pool.solution = optimal_combination(pool.problem())
                 assert pool.front == non_dominated(pool.entries), (trial, i)
@@ -382,14 +372,13 @@ def search_problems(draw):
     """A small problem, its entries in id order as `_search` takes them, and
     an entry forced into every selection or None."""
     n_pos, n_neg = draw(st.integers(1, 5)), draw(st.integers(0, 4))
-    budget = draw(st.sampled_from((None, 1, 2, 3, 5)))
-    entries = [PromisingEntry(id=i, rules=draw(st.integers(1, 2)),
-                              pos_bits=draw(st.integers(0, 2 ** n_pos - 1)),
+    budget = draw(st.sampled_from((None, 0, 1, 2, 3, 5)))
+    entries = [PromisingEntry(id=i, pos_bits=draw(st.integers(0, 2 ** n_pos - 1)),
                               neg_bits=draw(st.integers(0, 2 ** n_neg - 1)),
                               size=draw(st.integers(1, 4)))
                for i in range(draw(st.integers(0, 8)))]
     forced = None
-    if entries and draw(st.booleans()) and (budget is None or entries[-1].rules <= budget):
+    if entries and draw(st.booleans()) and budget != 0:
         forced = entries.pop()
     spec = parse_cost_spec(draw(st.sampled_from(CUT_SPECS)))
     return CombineProblem(tuple(entries), n_pos, n_neg, spec, budget), forced
@@ -420,7 +409,7 @@ class TestCutSoundness:
         def selections(entries, taken):
             for k in range(len(entries) + 1):
                 for chosen in itertools.combinations(entries, k):
-                    if sum(e.rules for e in taken + list(chosen)) <= budget:
+                    if len(taken) + k <= budget:
                         yield list(chosen)
 
         keys = st.sampled_from([key(c + start) for c in selections(order, start)])
@@ -500,7 +489,7 @@ class TestDumpFormat:
             3, 2, NAMED_SPECS["errorsize"],
         )
         text = dump_problem(p)
-        assert text.splitlines()[:2] == ["max_rules -", "0 3 0 110 01"]
+        assert text.splitlines()[:2] == ["max_rules -", "0 3 110 01"]
         back = parse_problem(text, NAMED_SPECS["errorsize"])
         assert back.n_pos == 3 and back.n_neg == 2
         assert [
@@ -511,19 +500,19 @@ class TestDumpFormat:
     def test_round_trip_without_negatives(self):
         p = CombineProblem((entry(0, 3, "110", ""),), 3, 0, NAMED_SPECS["mdl"])
         text = dump_problem(p)
-        assert text == "max_rules -\n0 3 0 110 -"
+        assert text == "max_rules -\n0 3 110 -"
         back = parse_problem(text, NAMED_SPECS["mdl"])
         assert back.n_neg == 0
         assert optimal_combination(back).cost == optimal_combination(p).cost
 
     def test_round_trip_keeps_rule_budget_and_rule_counts(self):
-        p = CombineProblem((rule_entry(0, 2, "10", ""), rule_entry(1, 2, "01", "")),
+        # each entry is one rule, so the budget of one rule admits one entry
+        p = CombineProblem((entry(0, 2, "10", ""), entry(1, 2, "01", "")),
                            2, 0, NAMED_SPECS["error"], max_rules=1)
         text = dump_problem(p)
-        assert text.splitlines() == ["max_rules 1", "0 2 1 10 -", "1 2 1 01 -"]
+        assert text.splitlines() == ["max_rules 1", "0 2 10 -", "1 2 01 -"]
         back = parse_problem(text, NAMED_SPECS["error"])
         assert back.max_rules == 1
-        assert [e.rules for e in back.entries] == [1, 1]
         for problem in (p, back):
             sol = optimal_combination(problem)
             assert sol.selected == (0,) and sol.cost == (1,)
@@ -534,24 +523,30 @@ class TestDumpFormat:
 
     @pytest.mark.parametrize("text, line", [
         # the format without a header: the first entry is not a header
-        pytest.param("0 3 0 110 01\n1 4 1 011 00\n", 1, id="no-header"),
-        pytest.param("max_rules\n0 3 0 110 01\n", 1, id="header-no-budget"),
-        pytest.param("max_rules x\n0 3 0 110 01\n", 1, id="header-bad-budget"),
-        pytest.param("max_rules -\n0 3 0 110\n", 2, id="four-fields"),
-        pytest.param("max_rules -\n0 3 0 110 01 1\n", 2, id="six-fields"),
-        pytest.param("max_rules -\n0 3 -1 110 01\n", 2, id="negative-count"),
-        pytest.param("max_rules -\n\n0 3 0 110 01\n0 4 1 011 00\n", 4,
+        pytest.param("0 3 110 01\n1 4 011 00\n", 1, id="no-header"),
+        pytest.param("max_rules\n0 3 110 01\n", 1, id="header-no-budget"),
+        pytest.param("max_rules x\n0 3 110 01\n", 1, id="header-bad-budget"),
+        pytest.param("max_rules -\n0 3 110\n", 2, id="three-fields"),
+        pytest.param("max_rules -\n0 3 110 01 1 0\n", 2, id="six-fields"),
+        pytest.param("max_rules -\n0 -3 110 01\n", 2, id="negative-count"),
+        pytest.param("max_rules -\n\n0 3 110 01\n0 4 011 00\n", 4,
                      id="repeated-id"),
-        pytest.param("max_rules -\n0 3 0 1x0 01\n", 2, id="not-bits"),
+        pytest.param("max_rules -\n0 3 1x0 01\n", 2, id="not-bits"),
         # bitstrings shorter or longer than the first entry's
-        pytest.param("max_rules -\n0 3 0 110 01\n1 4 1 01 00\n", 3,
+        pytest.param("max_rules -\n0 3 110 01\n1 4 01 00\n", 3,
                      id="shorter-pos"),
-        pytest.param("max_rules -\n0 3 0 11 01\n1 4 1 011 00\n", 3,
+        pytest.param("max_rules -\n0 3 11 01\n1 4 011 00\n", 3,
                      id="longer-pos"),
-        pytest.param("max_rules -\n0 3 0 110 01\n1 4 1 011 -\n", 3,
+        pytest.param("max_rules -\n0 3 110 01\n1 4 011 -\n", 3,
                      id="missing-neg"),
     ])
     def test_malformed_dump_names_the_line(self, text, line):
         with pytest.raises(ParseError) as caught:
             parse_problem(text, NAMED_SPECS["error"])
         assert caught.value.line == line
+
+    def test_rule_count_column_is_rejected(self):
+        # the format that carried each entry's rule count in a third column
+        with pytest.raises(ParseError, match="`id size pos neg`") as caught:
+            parse_problem("max_rules -\n0 3 1 110 01\n", NAMED_SPECS["error"])
+        assert caught.value.line == 2

@@ -137,6 +137,20 @@ class TestLoopBehaviour:
         # the separating rule has size 3, so only worse candidates remain
         assert res.cost > (0, 3)
 
+    @pytest.mark.parametrize("fixture", ORACLE_TASKS)
+    def test_max_size_bounds_each_rule_not_the_union(self, fixture, request):
+        # the cap bounds each rule the combine may select and each recursive
+        # program; a union of rules within it may exceed it
+        task = request.getfixturevalue(fixture)
+        over = False
+        for cap in (2, 3, 4):
+            for name in ALL_SPEC_NAMES:
+                best = learn(task, opts(name, max_size=cap)).best
+                assert all(r.size <= cap for r in best.rules), (cap, name)
+                assert not best.is_recursive or best.size <= cap, (cap, name)
+                over |= best.size > cap
+        assert over == (fixture == "path_task_full")
+
     def test_empty_promising_set_yields_empty_program(self, clone_noise_task):
         res = learn(clone_noise_task, opts("fpfn"))
         assert res.best.is_empty
@@ -206,7 +220,7 @@ class TestCandidateWalk:
         for name in ALL_SPEC_NAMES:
             learn(path_task_full, opts(name))
         programs = [h for h, _cov, _conf in candidate_walk(path_task_full).items]
-        assert tested == programs and len(programs) == 36
+        assert tested == programs and len(programs) == 27
 
     def test_no_candidate_above_the_cap_is_tested(self, trains_task, monkeypatch):
         real = engine.coverage
@@ -313,15 +327,15 @@ class TestZeroCostStop:
         ("fpfn", ((0, 10), (0, 6), (0, 3), (0, 0))),
     ])
     def test_closure_stops_at_zero(self, path_task_full, name, history):
-        # the pruned stream holds 984 candidates; the cost is zero at the 36th
+        # the pruned stream holds 901 candidates; the cost is zero at the 27th
         res = learn(path_task_full, opts(name))
-        assert res.stats.generated == 36
+        assert res.stats.generated == 27
         assert res.stats.stop == "zero-cost"
         assert res.proof == PROOF_OPTIMAL
         assert res.cost_history == history
 
     def test_cap_reached_at_zero_cost_is_optimal(self, path_task_full):
-        res = learn(path_task_full, opts("fnfp", candidate_cap=36))
+        res = learn(path_task_full, opts("fnfp", candidate_cap=27))
         assert res.proof == PROOF_OPTIMAL
         assert res.stats.stop == "zero-cost"
         assert res.cost == (0, 0)

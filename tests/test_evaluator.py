@@ -120,6 +120,20 @@ class TestCoverage:
         conf = confusion(cov, task)
         assert (conf.tp, conf.fn, conf.fp, conf.tn) == (2, 2, 0, 2)
 
+    def test_fact_store_stays_read_only(self):
+        # `roof` is a body predicate without facts: neither a rule nor a
+        # fixpoint that reads it adds a relation for it to the fact store
+        task = parse_task(TRAINS_BK, TRAINS_EXS, TRAINS_BIAS + "body_pred(roof,1).\n")
+        keys = set(fact_store(task))
+        assert ("roof", 1) not in keys
+        for text, covered in (
+            ("east(A):- has_car(A,B),roof(B).", 0b00),
+            ("east(A):- has_car(A,B),closed(B).\n"
+             "east(A):- has_car(A,B),east(B),roof(B).", 0b11),
+        ):
+            assert coverage(parse_program(text), task).pos_bits == covered
+            assert set(fact_store(task)) == keys, text
+
     def test_union_of_nonrecursive_rules_is_bitwise_or(self):
         rng = random.Random(77)
         preds = [("e", 2), ("g", 1), ("h", 1)]

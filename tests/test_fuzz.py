@@ -113,7 +113,6 @@ def test_combiner_larger_instances(seed):
     entries = tuple(
         PromisingEntry(
             id=i,
-            rules=0,
             pos_bits=rng.getrandbits(n_pos),
             neg_bits=rng.getrandbits(n_neg),
             size=rng.randint(2, 9),

@@ -8,14 +8,22 @@ from hypothesis import example, given, settings, strategies as st
 from lexicost.generator import (
     CandidateGenerator,
     enumerate_rules,
-    is_redundant,
+    list_candidates,
     program_subsumes,
     prune_specializations,
     rule_table,
     theta_subsumes,
 )
 from lexicost.evaluator import coverage
-from lexicost.kb import Bias, Program, Rule, parse_program, parse_rule, render_program
+from lexicost.kb import (
+    Bias,
+    Program,
+    Rule,
+    non_separable,
+    parse_program,
+    parse_rule,
+    render_program,
+)
 from conftest import PLANTED_SHAPES
 from oracles import (
     _oracle_rule_ok,
@@ -72,26 +80,6 @@ class TestThetaSubsumes:
             r2 = random_rule(rng, ("f", 1), preds, 3, 3)
             assert theta_subsumes(r1, r2) == brute_subsumes(r1, r2)
             assert theta_subsumes(r2, r1) == brute_subsumes(r2, r1)
-
-
-class TestIsRedundant:
-    def test_disconnected_literal(self):
-        assert is_redundant(parse_program("f(X):- g(X),h(Y)."))
-
-    def test_connected(self):
-        assert not is_redundant(parse_program("f(X):- g(X),h(X)."))
-
-    def test_intra_program_subsumption(self):
-        assert is_redundant(parse_program("f(X):- g(X).\nf(X):- g(X),h(X)."))
-
-    def test_unused_head_variable(self):
-        assert is_redundant(parse_program("f(X,Y):- g(X)."))
-
-    def test_head_in_body(self):
-        assert is_redundant(parse_program("f(X):- g(X),f(X)."))
-
-    def test_chain_is_connected(self):
-        assert not is_redundant(parse_program("f(X):- g(X,Y),h(Y,Z),k(Z)."))
 
 
 class TestStream:
@@ -253,6 +241,34 @@ class TestCompleteness:
         assert len(stream) == len(oracle)
 
 
+class TestNonSeparable:
+    # the tiny biases, and recursive ones with two head predicates, with
+    # three clauses, and with rules long enough that one size class holds
+    # both single rules and unions
+    BIASES = TINY_BIASES + [
+        bias({("f", 1), ("g", 1)}, {("e", 2), ("h", 1)}, max_vars=2, max_body=2,
+             max_clauses=2, recursion=True),
+        bias({("path", 2)}, {("edge", 2)}, max_vars=3, max_body=2, max_clauses=3,
+             recursion=True),
+        bias({("f", 1)}, {("e", 2), ("g", 1)}, max_vars=2, max_body=3,
+             max_clauses=2, recursion=True),
+    ]
+
+    @pytest.mark.parametrize("b", BIASES, ids=range(len(BIASES)))
+    def test_unions_are_non_separable_and_rules_are_listed_alone(self, b):
+        table = rule_table(b, b.max_program_size)
+        listed = [ids for size in range(1, b.max_program_size + 1)
+                  for ids in list_candidates(b, size)]
+        for ids in listed:
+            if len(ids) > 1:
+                assert non_separable([table.rules[i] for i in ids]), ids
+        # a rule can fire alone iff its body uses background predicates only
+        alone = [i for i, r in enumerate(table.rules)
+                 if all((a.predicate, a.arity) in b.body_preds for a in r.body)]
+        assert sorted(ids[0] for ids in listed if len(ids) == 1) == alone
+        assert any(len(ids) > 1 for ids in listed) == b.enable_recursion
+
+
 def _oracle_rules(b: Bias, n: int) -> list[Rule]:
     """The oracle's non-redundant rules of body length n, in id order."""
     return sorted((r for r in enumerate_safe_rules(b)
@@ -379,4 +395,4 @@ class TestReferenceFilter:
             n += 1
             if coverage(h, path_task_full).pos_bits == 0:
                 gen.add_constraint(prune_specializations(h))
-        assert n == 984
+        assert n == 901
