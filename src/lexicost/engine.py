@@ -185,6 +185,7 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
     rules: list[Rule] = []  # the rule of each entry, by id
     proof = PROOF_OPTIMAL
     history: list[CostVector] = [best_cost]
+    bounded = None  # the best cost that `cap` was last bounded by
 
     while True:
         if not any(best_cost):
@@ -198,14 +199,15 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
             break
         h, cov, conf = item
         stats.generated += 1
+        size = h.size
 
-        standalone = evaluate(spec, conf, h.size)
+        standalone = evaluate(spec, conf, size)
         if standalone < best_cost:
             best_prog, best_conf, best_cost = h, conf, standalone
             history.append(best_cost)
 
         if _admissible(h, conf, spec, t.bias.head_preds):
-            entry = PromisingEntry(id=len(rules), size=h.size,
+            entry = PromisingEntry(id=len(rules), size=size,
                                    pos_bits=cov.pos_bits, neg_bits=cov.neg_bits)
             (rule,) = h.rules
             rules.append(rule)
@@ -225,9 +227,11 @@ def learn(t: Task, o: LearnOptions) -> LearnResult:
                 best_conf, best_cost = sol.conf, sol.cost
                 history.append(best_cost)
 
-        bound = generator_size_bound(spec, best_cost)
-        if bound is not None:
-            cap = min(cap, bound)
+        if best_cost is not bounded:
+            bounded = best_cost
+            bound = generator_size_bound(spec, best_cost)
+            if bound is not None:
+                cap = min(cap, bound)
 
     return LearnResult(
         best=best_prog,

@@ -13,18 +13,18 @@ them a smaller candidate of its own, so the combine stage builds it.
 
 Rules are enumerated over indices into the literal pool, sorted by
 `Atom.sort_key`: a body is an ascending index tuple, and only the least
-tuple of each renaming class of the body-only variables becomes a `Rule`,
-so the rules of one body length come out canonical, unique and in
-`Rule.sort_key` order.
+tuple of each renaming class of the body-only variables becomes a `Rule`
+(by `Rule.canonical`, with no second renaming search), so the rules of one
+body length come out canonical, unique and in `Rule.sort_key` order.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
-from .kb import Atom, Bias, Program, Rule, is_var, kept, non_separable, variable_name
+from .kb import Atom, Bias, Program, Rule, is_var, kept, variable_name
 
 
 @dataclass(frozen=True)
@@ -44,41 +44,30 @@ def prune_specializations(anchor: Program) -> Constraint:
 # ---------------------------------------------------------------------------
 
 
-def _bind_atom(a1: Atom, a2: Atom, theta: dict[str, str]) -> bool:
-    """Extend theta so that a1·theta == a2; mutates theta, no undo."""
-    for t1, t2 in zip(a1.args, a2.args):
-        if is_var(t1):
-            bound = theta.get(t1)
-            if bound is None:
-                theta[t1] = t2
-            elif bound != t2:
-                return False
-        elif t1 != t2:
-            return False
-    return True
-
-
-def _cover_body(lits: tuple[Atom, ...], candidates: tuple[Atom, ...],
-                theta: dict[str, str]) -> bool:
-    if not lits:
-        return True
-    first, rest = lits[0], lits[1:]
-    for cand in candidates:
-        if cand.predicate == first.predicate and cand.arity == first.arity:
-            attempt = dict(theta)
-            if _bind_atom(first, cand, attempt) and _cover_body(rest, candidates, attempt):
-                return True
-    return False
+def _images(r: Rule, head: Atom, terms: list[str], index: dict[tuple, int]) -> Iterator[int]:
+    """For each substitution mapping r's head onto `head` and each body-only
+    variable to one of `terms`, the mask of the ids of r's body in `index`
+    (keyed by predicate and arguments), if all are there: r theta-subsumes a
+    rule with head `head` and terms `terms` iff one mask lies in its body's."""
+    if (r.head.predicate, r.head.arity) != (head.predicate, head.arity):
+        return
+    theta: dict[str, str] = {}
+    for t, u in zip(r.head.args, head.args):
+        if theta.setdefault(t, u) != u or t != u and not is_var(t):
+            return
+    free = sorted({v for a in r.body for v in a.variables()} - theta.keys())
+    for names in itertools.product(terms, repeat=len(free)):
+        theta.update(zip(free, names))
+        ids = {index.get((a.predicate, tuple([theta.get(t, t) for t in a.args]))) for a in r.body}
+        if None not in ids:
+            yield sum(1 << i for i in ids)
 
 
 def theta_subsumes(r1: Rule, r2: Rule) -> bool:
     """True iff a substitution maps r1's head to r2's head and its body into r2's."""
-    if (r1.head.predicate, r1.head.arity) != (r2.head.predicate, r2.head.arity):
-        return False
-    theta: dict[str, str] = {}
-    if not _bind_atom(r1.head, r2.head, theta):
-        return False
-    return _cover_body(r1.body, r2.body, theta)
+    terms = sorted({t for a in (r2.head, *r2.body) for t in a.args})
+    images = _images(r1, r2.head, terms, {(a.predicate, a.args): i for i, a in enumerate(r2.body)})
+    return next(images, None) is not None
 
 
 def program_subsumes(p1: Program, p2: Program) -> bool:
@@ -87,7 +76,7 @@ def program_subsumes(p1: Program, p2: Program) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Redundancy
+# Rule and program enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -108,47 +97,6 @@ def _connected(head_vars, body_vars) -> bool:
                 still.append(avars)
         pending = still
     return not pending
-
-
-def _one_subsumes_another(rules: Sequence[Rule]) -> bool:
-    """Some rule theta-subsumes another, which the union therefore does not need."""
-    return any(theta_subsumes(r1, r2) for r1, r2 in itertools.permutations(rules, 2))
-
-
-def _all_rules_can_fire(rules: Sequence[Rule], edb_preds: frozenset[tuple[str, int]]) -> bool:
-    """Reject programs containing a rule that can never fire.
-
-    A body predicate is available if it is a background relation or derivable
-    by this program; derivability is the fixpoint of "some rule for the
-    predicate has an all-available body".  A recursive program without a base
-    rule fails this check, as does a rule consuming an underivable invented
-    head predicate.  Head predicates never hold background facts (`Task`
-    rejects such tasks), so a head predicate is available only if derivable.
-    """
-    derivable: set[tuple[str, int]] = set()
-    changed = True
-    while changed:
-        changed = False
-        for r in rules:
-            hkey = (r.head.predicate, r.head.arity)
-            if hkey in derivable:
-                continue
-            if all(
-                (a.predicate, a.arity) in edb_preds or (a.predicate, a.arity) in derivable
-                for a in r.body
-            ):
-                derivable.add(hkey)
-                changed = True
-    return all(
-        (a.predicate, a.arity) in edb_preds or (a.predicate, a.arity) in derivable
-        for r in rules
-        for a in r.body
-    )
-
-
-# ---------------------------------------------------------------------------
-# Rule and program enumeration
-# ---------------------------------------------------------------------------
 
 
 def _literal_pool(bias: Bias) -> list[tuple[Atom, tuple[int, ...]]]:
@@ -212,19 +160,84 @@ def enumerate_rules(bias: Bias, body_len: int) -> list[Rule]:
             if any(tuple(sorted(m[i] for i in combo)) < combo for m in renamings[n_used]):
                 continue
             if _connected(head_mask, [masks[i] for i in combo]):
-                out.append(Rule(head, [pool[i][0] for i in combo]))
+                out.append(Rule.canonical(head, tuple(pool[i][0] for i in combo)))
     return out
 
 
-@dataclass
-class RuleTable:
-    """Every rule of one bias, interned once: a rule's id is its index."""
+def _covers(images: tuple[int, ...], lits: int) -> bool:
+    """Some image of a subsumer lies inside a rule's literal mask: the
+    subsumer theta-subsumes the rule (see `RuleTable`)."""
+    for image in images:
+        if image & lits == image:
+            return True
+    return False
 
-    rules: list[Rule] = field(default_factory=list)
-    # ends[s]: the number of rules of size <= s, for each size interned so far
-    ends: list[int] = field(default_factory=lambda: [0, 0])
-    # candidates[s]: the candidate list of size s, for each size listed so far
-    candidates: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
+
+class RuleTable:
+    """Every rule of one bias, interned once: a rule's id is its index.
+
+    Per rule id it keeps three bitmasks: `lits`, the literal-pool ids of
+    the body plus the head predicate's bit shifted above the pool; `heads`,
+    the head predicate's bit; `preds`, the body predicates' bits.  It also
+    keeps the bias's theta relation.  A subsumer is any rule, numbered on
+    first sight, with its images (`_images` onto the table's head and
+    variables, plus its head bit); it theta-subsumes rule r iff one lies
+    inside `lits[r]`.  Per rule id r the relation keeps the masks of the
+    subsumers tested against r and of those that subsume r.
+    """
+
+    def __init__(self, bias: Bias):
+        pool = _literal_pool(bias)
+        self.pool = {(a.predicate, a.args): i for i, (a, _) in enumerate(pool)}
+        self.shift = len(pool)
+        self.bits = {p: 1 << i for i, p in enumerate(sorted(bias.body_preds | bias.head_preds))}
+        self.edb = sum(self.bits[p] for p in bias.body_preds)
+        self.names = [variable_name(i) for i in range(bias.max_vars)]
+        self.rules: list[Rule] = []
+        # ends[s]: the number of rules of size <= s, for each size interned so far
+        self.ends = [0, 0]
+        # candidates[s]: the candidate list of size s, for each size listed so far
+        self.candidates: dict[int, list[tuple[int, ...]]] = {}
+        self.lits: list[int] = []
+        self.heads: list[int] = []
+        self.preds: list[int] = []
+        # subsumer ids and each one's images; per rule id the relation's masks
+        self.sids: dict[Rule, int] = {}
+        self.images: list[tuple[int, ...]] = []
+        self.tested: list[int] = []
+        self.subsumed: list[int] = []
+
+    def add(self, r: Rule) -> None:
+        head = self.bits[r.head.predicate, r.head.arity]
+        self.rules.append(r)
+        self.heads.append(head)
+        self.lits.append(sum((1 << self.pool[a.predicate, a.args] for a in r.body),
+                             head << self.shift))
+        self.preds.append(sum(self.bits[p] for p in {(a.predicate, a.arity) for a in r.body}))
+        self.tested.append(0)
+        self.subsumed.append(0)
+
+    def subsumer(self, r: Rule) -> int:
+        """The subsumer id of `r`, which need not be a rule of the table."""
+        sid = self.sids.setdefault(r, len(self.sids))
+        if sid == len(self.images):
+            bit = self.bits.get((r.head.predicate, r.head.arity))
+            head = Atom(r.head.predicate, tuple(self.names[:r.head.arity]))
+            self.images.append(() if bit is None else tuple(
+                {m | bit << self.shift for m in _images(r, head, self.names, self.pool)}))
+        return sid
+
+    def subsumed_by(self, rule_id: int, sids: int) -> bool:
+        """Some subsumer in the mask `sids` theta-subsumes rule `rule_id`."""
+        new = sids & ~self.tested[rule_id]
+        self.tested[rule_id] |= new
+        lits = self.lits[rule_id]
+        while new:
+            low = new & -new
+            new ^= low
+            if _covers(self.images[low.bit_length() - 1], lits):
+                self.subsumed[rule_id] |= low
+        return sids & self.subsumed[rule_id] != 0
 
 
 def rule_table(bias: Bias, max_size: int) -> RuleTable:
@@ -237,9 +250,10 @@ def rule_table(bias: Bias, max_size: int) -> RuleTable:
     `Rule.sort_key` without a sort, and the rules of size <= s are ids
     0 .. ends[s]-1.
     """
-    table = kept(bias, "_rule_table", RuleTable)
+    table = kept(bias, "_rule_table", lambda: RuleTable(bias))
     while len(table.ends) <= min(max_size, 1 + bias.max_body):
-        table.rules.extend(enumerate_rules(bias, len(table.ends) - 1))
+        for r in enumerate_rules(bias, len(table.ends) - 1):
+            table.add(r)
         table.ends.append(len(table.rules))
     return table
 
@@ -263,24 +277,39 @@ def list_candidates(bias: Bias, size: int) -> list[tuple[int, ...]]:
 
     The candidates are the rules of that size and, under recursion, the
     non-separable unions of up to `max_clauses` rules in which no rule
-    theta-subsumes another; each must have only rules that can fire.  A
-    separable union is dropped before any theta-test.  Since ids follow
-    `Rule.sort_key`, the list is in the order of the programs' rule sort
-    keys.  No anchor or size cap filters it.  A size is listed once per
-    bias, and the list is kept in the rule table for every generator over
-    the bias.
+    theta-subsumes another; each must have only rules that can fire.  The
+    tests read the table's masks and theta relation, a separable union
+    before any theta-test.  Since ids follow `Rule.sort_key`, the list is
+    in the order of the programs' rule sort keys.  No anchor or size cap
+    filters it.  A size is listed once per bias, and the list is kept in
+    the rule table for every generator over the bias.
     """
     table = rule_table(bias, size)
     if size not in table.candidates:
-        rules = table.rules
+        heads, preds = table.heads, table.preds
         slots = bias.max_clauses if bias.enable_recursion else 1
         listed = []
-        for ids in _unions([r.size for r in rules], 0, size, slots):
-            chosen = [rules[i] for i in ids]
-            if len(ids) > 1 and not non_separable(chosen):
+        for ids in _unions([r.size for r in table.rules], 0, size, slots):
+            defined = used = 0
+            for i in ids:
+                defined |= heads[i]
+                used |= preds[i]
+            if len(ids) > 1 and not defined & used:
                 continue
-            if _all_rules_can_fire(chosen, bias.body_preds) and not _one_subsumes_another(chosen):
-                listed.append(ids)
+            # each body predicate is a background one or derived within len(ids) passes
+            known = table.edb
+            for _ in ids:
+                for i in ids:
+                    if not preds[i] & ~known:
+                        known |= heads[i]
+            if used & ~known:
+                continue
+            # a rule subsumes another only if its body predicates are the other's too
+            if len(ids) > 1 and any(table.subsumed_by(j, sum(
+                    1 << table.subsumer(table.rules[i]) for i in ids
+                    if i != j and not preds[i] & ~preds[j])) for j in ids):
+                continue
+            listed.append(ids)
         table.candidates[size] = listed
     return table.candidates[size]
 
@@ -294,23 +323,23 @@ class CandidateGenerator:
     size, so no size is listed before its owner draws from it.  Iterating
     the generator yields the whole stream, up to the bias's largest program.
     A `Program` is built only for a candidate that is emitted.
-    Specialisation anchors are numbered in arrival order, and for each rule
-    id the generator keeps a bitset over anchor numbers: bit k is set iff
-    some rule of anchor k theta-subsumes that rule.  A program is blocked
-    iff some anchor subsumes every one of its rules, i.e. iff the AND of its
+    Specialisation anchors are numbered in arrival order, each a mask of
+    its rules' ids in the rule table's theta relation, and for each rule id
+    the generator keeps a bitset over anchor numbers: bit k is set iff some
+    rule of anchor k theta-subsumes that rule.  A program is blocked iff
+    some anchor subsumes every one of its rules, i.e. iff the AND of its
     rules' bitsets is non-zero.  Bitsets are extended lazily, when a
-    candidate containing the rule reaches the check, so each (anchor, rule)
-    pair is tested at most once.
+    candidate containing the rule reaches the check, from the relation.
     """
 
     def __init__(self, bias: Bias):
         self.bias = bias
-        self._anchors: list[Program] = []
+        self._anchors: list[int] = []
         # the size drawn from, and the rest of its list (None until drawn from)
         self.size = 1
         self._listed: Iterator[tuple[int, ...]] | None = None
         # shared with every generator over the bias; extended in place
-        self._rules = rule_table(bias, 0).rules
+        self._table = rule_table(bias, 0)
         # per rule id: bitset of subsuming anchors, and anchors tested so far
         self._subsumed_by: list[int] = []
         self._anchors_tested: list[int] = []
@@ -318,7 +347,7 @@ class CandidateGenerator:
     # -- constraints --------------------------------------------------------
 
     def add_constraint(self, c: Constraint) -> None:
-        self._anchors.append(c.anchor)
+        self._anchors.append(sum(1 << self._table.subsumer(r) for r in c.anchor.rules))
 
     # -- stream -------------------------------------------------------------
 
@@ -328,12 +357,12 @@ class CandidateGenerator:
         unique by construction, so none is emitted twice."""
         if self._listed is None:
             self._listed = iter(list_candidates(self.bias, self.size))
-            grow = len(self._rules) - len(self._subsumed_by)
+            grow = len(self._table.rules) - len(self._subsumed_by)
             self._subsumed_by += [0] * grow
             self._anchors_tested += [0] * grow
         for ids in self._listed:
             if not self._blocked(ids):
-                return Program(self._rules[i] for i in ids)
+                return Program(self._table.rules[i] for i in ids)
         self.size += 1
         self._listed = None
         return None
@@ -357,10 +386,9 @@ class CandidateGenerator:
         return True
 
     def _extend_bitset(self, rule_id: int, n_anchors: int) -> None:
-        rule = self._rules[rule_id]
         bits = self._subsumed_by[rule_id]
         for k in range(self._anchors_tested[rule_id], n_anchors):
-            if any(theta_subsumes(a, rule) for a in self._anchors[k].rules):
+            if self._table.subsumed_by(rule_id, self._anchors[k]):
                 bits |= 1 << k
         self._subsumed_by[rule_id] = bits
         self._anchors_tested[rule_id] = n_anchors

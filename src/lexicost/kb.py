@@ -4,6 +4,7 @@ Everything here is immutable and hash-equal modulo variable renaming: a
 Rule canonicalises itself at construction time (variables renamed A, B,
 C, ... and body literals sorted), so structural equality of two Rule or
 Program values coincides with equality up to renaming and literal order.
+`Rule.canonical` skips that search for a head and body already canonical.
 """
 
 from __future__ import annotations
@@ -117,6 +118,13 @@ class Rule:
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "body", body)
 
+    @classmethod
+    def canonical(cls, head: Atom, body: tuple[Atom, ...]) -> "Rule":
+        """The rule of a canonical head and sorted body: no renaming search."""
+        rule = object.__new__(cls)
+        rule.__dict__.update(head=head, body=body)
+        return rule
+
     @property
     def size(self) -> int:
         return 1 + len(self.body)
@@ -163,8 +171,8 @@ def non_separable(rules: Sequence[Rule]) -> bool:
 
     This is deliberately wider than per-rule recursion: it is exactly the
     condition under which coverage of a rule union may exceed the union of
-    the individual coverages, which is what the combine stage relies on;
-    the generator lists a union of several rules only when it holds.
+    the individual coverages, which the combine stage relies on; the
+    generator lists a union only when it holds, tested over predicate masks.
     """
     heads = {(r.head.predicate, r.head.arity) for r in rules}
     return any((a.predicate, a.arity) in heads for r in rules for a in r.body)

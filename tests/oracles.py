@@ -234,24 +234,29 @@ def _oracle_program_ok(p: Program, bias: Bias) -> bool:
     for r1, r2 in itertools.permutations(p.rules, 2):
         if brute_subsumes(r1, r2):
             return False
-    # every rule must be able to fire: body predicates are background
-    # relations or derivable heads
+    return all_rules_can_fire(p.rules, bias.body_preds)
+
+
+def all_rules_can_fire(rules, edb_preds) -> bool:
+    """Every rule can fire: each body predicate is a background relation or
+    derivable, where derivability is the fixpoint of "some rule for the
+    predicate has an all-available body".  A recursive program without a
+    base rule fails, as does a rule consuming an underivable head predicate."""
     derivable: set[tuple[str, int]] = set()
-    edb = set(bias.body_preds)
     changed = True
     while changed:
         changed = False
-        for r in p.rules:
+        for r in rules:
             hk = (r.head.predicate, r.head.arity)
             if hk not in derivable and all(
-                (a.predicate, a.arity) in edb or (a.predicate, a.arity) in derivable
+                (a.predicate, a.arity) in edb_preds or (a.predicate, a.arity) in derivable
                 for a in r.body
             ):
                 derivable.add(hk)
                 changed = True
     return all(
-        (a.predicate, a.arity) in edb or (a.predicate, a.arity) in derivable
-        for r in p.rules
+        (a.predicate, a.arity) in edb_preds or (a.predicate, a.arity) in derivable
+        for r in rules
         for a in r.body
     )
 

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import math
 import random
 
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lexicost.generator import (
     CandidateGenerator,
+    _unions,
     enumerate_rules,
     list_candidates,
     program_subsumes,
@@ -27,12 +30,21 @@ from lexicost.kb import (
 from conftest import PLANTED_SHAPES
 from oracles import (
     _oracle_rule_ok,
+    all_rules_can_fire,
     brute_subsumes,
     enumerate_candidate_space,
     enumerate_safe_rules,
     random_program,
     random_rule,
 )
+
+
+# `brute_subsumes`, each pair of rules tested once per session
+_brute = functools.cache(brute_subsumes)
+
+
+def _brute_program_subsumes(p1: Program, p2: Program) -> bool:
+    return all(any(_brute(r1, r2) for r1 in p1.rules) for r2 in p2.rules)
 
 
 def bias(head, body, max_vars=3, max_body=2, max_clauses=1, recursion=False):
@@ -124,6 +136,27 @@ class TestStream:
         g2.add_constraint(c)
         assert list(g1) == list(g2)
 
+    @pytest.mark.parametrize("text, blocks", [
+        ("f(X,Y):- e(X,Y).", True),  # a rule of a size not yet listed
+        ("f(X,X):- e(X,X).", False),  # a repeated head variable
+        ("f(X,Y):- e(X,Z),e(Z,W),g(Y).", True),  # more variables than max_vars
+        ("f(X,Y):- e(X,a),g(Y).", False),  # a constant
+        ("f(X,Y):- k(X,Y).", False),  # a predicate outside the bias
+        ("h(X):- g(X).", False),  # a head predicate outside the bias
+        ("f(X,Y):- e(X,Y).\nf(X,Y):- g(X),g(Y).", True),
+    ])
+    def test_parsed_anchors_block_what_they_subsume(self, text, blocks):
+        # anchors made by the parser reach the theta relation before the
+        # table holds their rules, or although it never will
+        b = bias({("f", 2)}, {("e", 2), ("g", 1)}, max_vars=3, max_body=3)
+        anchor = parse_program(text)
+        g = CandidateGenerator(b)
+        g.add_constraint(prune_specializations(anchor))
+        full = list(CandidateGenerator(b))
+        expected = [p for p in full if not _brute_program_subsumes(anchor, p)]
+        assert list(g) == expected
+        assert (len(expected) < len(full)) == blocks
+
     def test_size_cap(self):
         # a run capped at size 2 reads the stream up to its first candidate
         # above 2: that prefix holds every candidate of size <= 2
@@ -203,11 +236,13 @@ class TestRuleTable:
         from lexicost import generator
 
         b = dataclasses.replace(TINY_BIASES[4])  # path/edge, recursive; own table
-        first = list(CandidateGenerator(b))
         checks = []
-        real = generator.theta_subsumes
-        monkeypatch.setattr(generator, "theta_subsumes",
-                            lambda r1, r2: checks.append(1) or real(r1, r2))
+        real = generator._covers
+        monkeypatch.setattr(generator, "_covers",
+                            lambda images, lits: checks.append(1) or real(images, lits))
+        first = list(CandidateGenerator(b))
+        assert checks, "listing the unions makes theta-tests"
+        checks.clear()
         assert list(CandidateGenerator(b)) == first
         assert any(len(p.rules) > 1 for p in first)
         assert checks == []
@@ -252,6 +287,11 @@ class TestNonSeparable:
              recursion=True),
         bias({("f", 1)}, {("e", 2), ("g", 1)}, max_vars=2, max_body=3,
              max_clauses=2, recursion=True),
+        # three clauses over two head predicates: a union whose rules fire
+        # only in the reverse of id order, e.g. f(A):- g(A). g(A):- f(A).
+        # f(A):- e(A,B),h(B).
+        bias({("f", 1), ("g", 1)}, {("e", 2), ("h", 1)}, max_vars=2, max_body=2,
+             max_clauses=3, recursion=True),
     ]
 
     @pytest.mark.parametrize("b", BIASES, ids=range(len(BIASES)))
@@ -267,6 +307,23 @@ class TestNonSeparable:
                  if all((a.predicate, a.arity) in b.body_preds for a in r.body)]
         assert sorted(ids[0] for ids in listed if len(ids) == 1) == alone
         assert any(len(ids) > 1 for ids in listed) == b.enable_recursion
+
+    @pytest.mark.parametrize("b", BIASES, ids=range(len(BIASES)))
+    def test_listing_matches_rule_level_references(self, b):
+        # the mask tests and the theta relation, union by union, against
+        # `non_separable`, the can-fire oracle and brute-force subsumption
+        table = rule_table(b, b.max_program_size)
+        slots = b.max_clauses if b.enable_recursion else 1
+        for size in range(1, b.max_program_size + 1):
+            expected = []
+            for ids in _unions([r.size for r in table.rules], 0, size, slots):
+                rules = [table.rules[i] for i in ids]
+                if ((len(ids) == 1 or non_separable(rules))
+                        and all_rules_can_fire(rules, b.body_preds)
+                        and not any(_brute(r1, r2)
+                                    for r1, r2 in itertools.permutations(rules, 2))):
+                    expected.append(ids)
+            assert list_candidates(b, size) == expected, size
 
 
 def _oracle_rules(b: Bias, n: int) -> list[Rule]:
@@ -334,7 +391,7 @@ FIXTURE_TASKS = ["trains_task", "path_task_full", "clone_noise_task",
 def _check_against_reference_filter(b: Bias, rng: random.Random) -> None:
     """Drive a generator with anchors and duplicate anchors added at random
     points, and check every emitted program against the unconstrained
-    stream filtered by `not any(program_subsumes(a, p) for a in anchors)`,
+    stream filtered by `not any(_brute_program_subsumes(a, p) for a in anchors)`,
     until a size cap lowered at a random point cuts the stream, as it
     ends a learner's run."""
     full = list(CandidateGenerator(b))
@@ -346,7 +403,7 @@ def _check_against_reference_filter(b: Bias, rng: random.Random) -> None:
     cap = b.max_program_size
     i = 0
     while True:
-        while i < len(full) and any(program_subsumes(a, full[i]) for a in anchors):
+        while i < len(full) and any(_brute_program_subsumes(a, full[i]) for a in anchors):
             i += 1
         expected = full[i] if i < len(full) else None
         assert next(stream, None) == expected

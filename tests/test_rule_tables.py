@@ -14,12 +14,14 @@ Rewrite the file only for a deliberate change of outputs:
 
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from lexicost.generator import rule_table
-from lexicost.kb import Bias, parse_bias
+from lexicost.kb import Atom, Bias, Rule, parse_bias
+from oracles import brute_canonical, brute_subsumes
 
 TESTS = Path(__file__).parent
 GOLDEN = TESTS / "data" / "rule_tables_golden.json"
@@ -80,6 +82,52 @@ def test_rule_table_matches_golden(name, golden):
 
 def test_golden_covers_every_bias(golden):
     assert sorted(golden) == sorted(BIASES)
+
+
+@pytest.mark.parametrize("name", BIASES)
+def test_rules_built_without_the_search_are_canonical(name):
+    # the table's rules come from `Rule.canonical`: each equals, and hashes
+    # as, the rule that `Rule` canonicalises, and has the least key over
+    # every variable bijection
+    for r in rule_table(BIASES[name], BIASES[name].max_program_size).rules:
+        again = Rule(r.head, r.body)
+        assert again == r and hash(again) == hash(r), str(r)
+        key = (r.head.sort_key(), tuple(a.sort_key() for a in r.body))
+        assert brute_canonical(r.head, r.body) == key, str(r)
+
+
+@pytest.mark.parametrize("name", BIASES)
+def test_theta_relation_matches_brute_force_on_every_pair(name):
+    table = rule_table(BIASES[name], BIASES[name].max_program_size)
+    for r1 in table.rules:
+        sid = 1 << table.subsumer(r1)
+        got = [table.subsumed_by(j, sid) for j in range(len(table.rules))]
+        assert got == [brute_subsumes(r1, r2) for r2 in table.rules], str(r1)
+
+
+def _random_anchor_rule(rng: random.Random, b: Bias) -> Rule:
+    """A rule over the bias's predicates, and sometimes one outside it,
+    whose terms may repeat in the head, be constants, or number more than
+    `max_vars`."""
+    preds = sorted(b.body_preds | b.head_preds) + [("k", 1)]
+    terms = [f"V{i}" for i in range(b.max_vars + 2)] + ["a", "b"]
+    hp, ha = rng.choice(sorted(b.head_preds) + [("k", 1)])
+    head = Atom(hp, tuple(rng.choice(terms) for _ in range(ha)))
+    body = [Atom(p, tuple(rng.choice(terms) for _ in range(n)))
+            for p, n in rng.choices(preds, k=rng.randint(0, 3))]
+    return Rule(head, body)
+
+
+@pytest.mark.parametrize("name", BIASES)
+def test_theta_relation_matches_brute_force_on_random_anchors(name):
+    b = BIASES[name]
+    table = rule_table(b, b.max_program_size)
+    rng = random.Random(name)
+    for _ in range(40):
+        r1 = _random_anchor_rule(rng, b)
+        sid = 1 << table.subsumer(r1)
+        got = [table.subsumed_by(j, sid) for j in range(len(table.rules))]
+        assert got == [brute_subsumes(r1, r2) for r2 in table.rules], str(r1)
 
 
 if __name__ == "__main__":
