@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import Field, asdict, dataclass, field, fields
 from typing import Iterable, Mapping, Sequence, get_type_hints
 
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
     TooFewPairsError,
 )
 from .evaluator import Confusion
+from .record import Frozen, init_field
 
 PRECISION_UNDEFINED = "precision_undefined"
 BALANCED_DEGENERATE = "balanced_degenerate"
@@ -31,13 +31,16 @@ BALANCED_DEGENERATE = "balanced_degenerate"
 METRIC_NAMES = ("accuracy", "balanced_accuracy", "precision", "recall")
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    accuracy: float
-    balanced_accuracy: float
-    precision: float
-    recall: float
-    flags: frozenset[str] = frozenset()
+class MetricReport(Frozen):
+    __slots__ = ("accuracy", "balanced_accuracy", "precision", "recall", "flags")
+
+    def __init__(self, accuracy: float, balanced_accuracy: float, precision: float,
+                 recall: float, flags: frozenset[str] = frozenset()):
+        init_field(self, "accuracy", accuracy)
+        init_field(self, "balanced_accuracy", balanced_accuracy)
+        init_field(self, "precision", precision)
+        init_field(self, "recall", recall)
+        init_field(self, "flags", flags)
 
 
 def metrics(conf: Confusion) -> MetricReport:
@@ -73,12 +76,14 @@ def metrics(conf: Confusion) -> MetricReport:
     return MetricReport(accuracy, balanced, precision, recall, frozenset(flags))
 
 
-@dataclass(frozen=True)
-class DomainAggregate:
+class DomainAggregate(Frozen):
     # in the order of the keys of a `per_domain` cell of `analyze_results`
-    mean: Mapping[str, float]
-    stderr: Mapping[str, float]
-    n_tasks: int
+    __slots__ = ("mean", "stderr", "n_tasks")
+
+    def __init__(self, mean: Mapping[str, float], stderr: Mapping[str, float], n_tasks: int):
+        init_field(self, "mean", mean)
+        init_field(self, "stderr", stderr)
+        init_field(self, "n_tasks", n_tasks)
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -238,35 +243,40 @@ def rank_table(
 STATUS_OK = "ok"
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(Frozen):
     """One row of the results CSV: its fields, in order, are the columns, and
-    each value is read back by its field's type."""
+    each value is read back by the type its constructor declares."""
 
-    domain: str
-    task: str
-    repeat: int
-    cost_fn: str
-    tp: int = 0
-    fp: int = 0
-    tn: int = 0
-    fn: int = 0
-    size: int = 0
-    cost_vector: str = ""
-    # the one column that may be left blank; it then reads as 0
-    runtime_ms: int = field(default=0, metadata={"blank_ok": True})
-    status: str = STATUS_OK
+    __slots__ = ("domain", "task", "repeat", "cost_fn", "tp", "fp", "tn", "fn", "size",
+                 "cost_vector", "runtime_ms", "status")
+
+    def __init__(self, domain: str, task: str, repeat: int, cost_fn: str, tp: int = 0,
+                 fp: int = 0, tn: int = 0, fn: int = 0, size: int = 0,
+                 cost_vector: str = "", runtime_ms: int = 0, status: str = STATUS_OK):
+        init_field(self, "domain", domain)
+        init_field(self, "task", task)
+        init_field(self, "repeat", repeat)
+        init_field(self, "cost_fn", cost_fn)
+        init_field(self, "tp", tp)
+        init_field(self, "fp", fp)
+        init_field(self, "tn", tn)
+        init_field(self, "fn", fn)
+        init_field(self, "size", size)
+        init_field(self, "cost_vector", cost_vector)
+        init_field(self, "runtime_ms", runtime_ms)
+        init_field(self, "status", status)
 
 
-_FIELDS = fields(ResultRow)
-_COLUMN_TYPES = get_type_hints(ResultRow)
-CSV_COLUMNS = tuple(f.name for f in _FIELDS)
+CSV_COLUMNS = ResultRow._fields
+_COLUMN_TYPES = get_type_hints(ResultRow.__init__)
+# the one column that may be left blank; it then reads as 0
+_BLANK_OK = "runtime_ms"
 
 
-def _cell(f: Field, text: str):
-    if not text and f.metadata.get("blank_ok"):
-        return f.default
-    return _COLUMN_TYPES[f.name](text)
+def _cell(column: str, text: str):
+    if not text and column == _BLANK_OK:
+        return 0
+    return _COLUMN_TYPES[column](text)
 
 
 def write_results_csv(rows: Iterable[ResultRow]) -> str:
@@ -290,15 +300,23 @@ def read_results_csv(text: str) -> list[ResultRow]:
             f"unexpected CSV header {header!r}; expected {list(CSV_COLUMNS)}"
         )
     rows = []
+    # the line of the row of each (domain, task, repeat, cost_fn)
+    lines: dict[tuple, int] = {}
     for line_no, values in enumerate(reader, start=2):
         if not values:
             continue
         if len(values) != len(CSV_COLUMNS):
             raise SchemaError(f"row {line_no} has {len(values)} fields")
         try:
-            rows.append(ResultRow(*map(_cell, _FIELDS, values)))
+            row = ResultRow(*map(_cell, CSV_COLUMNS, values))
         except ValueError as exc:
             raise SchemaError(f"row {line_no}: {exc}") from None
+        first = lines.setdefault((row.domain, row.task, row.repeat, row.cost_fn), line_no)
+        if first != line_no:
+            raise SchemaError(
+                f"row {line_no} repeats the domain, task, repeat and cost_fn of row {first}"
+            )
+        rows.append(row)
     if not rows:
         raise SchemaError("results CSV contains no data rows")
     return rows
@@ -307,7 +325,7 @@ def read_results_csv(text: str) -> list[ResultRow]:
 def _task_report(rows: list[ResultRow]) -> MetricReport:
     """Repeat-averaged metrics for one (domain, task, cost_fn) group."""
     reports = [
-        metrics(Confusion(*(getattr(r, f.name) for f in fields(Confusion)))) for r in rows
+        metrics(Confusion(r.tp, r.fp, r.tn, r.fn)) for r in rows
     ]
     return MetricReport(
         **{m: _mean([getattr(r, m) for r in reports]) for m in METRIC_NAMES},
@@ -361,7 +379,7 @@ def analyze_results(rows: Sequence[ResultRow]) -> dict:
         "cost_fns": cost_fns,
         "domains": complete,
         "excluded_tasks": excluded,
-        "per_domain": {fn: {d: asdict(agg) for d, agg in aggregates[fn].items()}
+        "per_domain": {fn: {d: agg._asdict() for d, agg in aggregates[fn].items()}
                        for fn in cost_fns},
         "overall_accuracy_mean": {fn: _mean(acc[fn]) if complete else None
                                   for fn in cost_fns},

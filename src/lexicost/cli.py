@@ -14,7 +14,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import analytics
@@ -40,6 +39,7 @@ from .kb import (
     parse_task,
     render_program,
 )
+from .record import Frozen, init_field
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -53,15 +53,15 @@ def _round4(x: float) -> float:
 def _metric_json(conf: Confusion) -> dict:
     rep = analytics.metrics(conf)
     return {**{m: _round4(getattr(rep, m)) for m in METRIC_NAMES},
-            "flags": sorted(rep.flags), **asdict(conf)}
+            "flags": sorted(rep.flags), **conf._asdict()}
 
 
 def _result_json(result: LearnResult, test_conf: Confusion | None) -> dict:
     out = {
         "hypothesis": [str(r) for r in result.best.rules],
         "cost": list(result.cost),
-        "train": asdict(result.train_conf),
-        "stats": asdict(result.stats),
+        "train": result.train_conf._asdict(),
+        "stats": result.stats._asdict(),
         "proof": result.proof,
     }
     if test_conf is not None:
@@ -115,18 +115,27 @@ def cmd_learn(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    root_dir: Path
-    cost_fns: tuple[str, ...]
-    repeats: int = 3
-    split: float | None = None
-    seed: int = 0
-    output: Path = Path("results.csv")
-    timing: bool = True
-    workers: int = 1
+class SuiteConfig(Frozen):
+    __slots__ = ("root_dir", "cost_fns", "repeats", "split", "seed", "output", "timing",
+                 "workers")
 
-    def __post_init__(self):
+    def __init__(self, root_dir: Path, cost_fns: tuple[str, ...], repeats: int = 3,
+                 split: float | None = None, seed: int = 0,
+                 output: Path = Path("results.csv"), timing: bool = True, workers: int = 1):
+        init_field(self, "root_dir", root_dir)
+        init_field(self, "cost_fns", cost_fns)
+        init_field(self, "repeats", repeats)
+        init_field(self, "split", split)
+        init_field(self, "seed", seed)
+        init_field(self, "output", output)
+        init_field(self, "timing", timing)
+        init_field(self, "workers", workers)
+        if not self.cost_fns:
+            raise LexicostError("bench needs at least one cost function")
+        repeated = sorted({c for c in self.cost_fns if self.cost_fns.count(c) > 1})
+        if repeated:
+            # each would write every one of its rows twice
+            raise LexicostError(f"cost functions named more than once: {', '.join(repeated)}")
         if not self.root_dir.is_dir():
             raise LexicostError(f"bench root is not a directory: {self.root_dir}")
         if not self.output.parent.is_dir():
@@ -222,9 +231,9 @@ def _learned(row: ResultRow, task: Task, test_pos: tuple[Atom, ...],
         conf = evaluate_on_test(result, task, test_pos, test_neg)
     else:
         conf = result.train_conf
-    return replace(
-        row,
-        **asdict(conf),
+    return ResultRow(
+        row.domain, row.task, row.repeat, row.cost_fn,
+        **conf._asdict(),
         size=result.best.size,
         cost_vector="[" + ",".join(str(v) for v in result.cost) + "]",
         runtime_ms=elapsed_ms if timing else 0,
@@ -277,7 +286,7 @@ def _bench_task(job: tuple[str, str, Path, SuiteConfig]) -> list[ResultRow]:
             try:
                 rows.append(_learned(row, *run, config.timing))
             except _CAUGHT as exc:
-                rows.append(replace(row, status=_status(exc)))
+                rows.append(ResultRow(domain, name, repeat, cost_fn, status=_status(exc)))
     return rows
 
 

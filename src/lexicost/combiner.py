@@ -57,34 +57,36 @@ no include that makes S cover them is pushed.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
-
 from .cost import CostSpec, CostVector, evaluate
 from .errors import LengthMismatchError, LexicostError, ParseError
 from .evaluator import Confusion, bits_to_string, confusion_of, string_to_bits
+from .record import Frozen, init_field
 
 
-@dataclass(frozen=True)
-class PromisingEntry:
+class PromisingEntry(Frozen):
     """A promising rule: the examples it covers and its size in literals."""
 
-    id: int
-    pos_bits: int
-    neg_bits: int
-    size: int
+    __slots__ = ("id", "pos_bits", "neg_bits", "size")
+
+    def __init__(self, id: int, pos_bits: int, neg_bits: int, size: int):
+        init_field(self, "id", id)
+        init_field(self, "pos_bits", pos_bits)
+        init_field(self, "neg_bits", neg_bits)
+        init_field(self, "size", size)
 
 
-@dataclass(frozen=True)
-class CombineProblem:
-    entries: tuple[PromisingEntry, ...]
-    n_pos: int
-    n_neg: int
-    spec: CostSpec
-    # when set, a hard budget on the number of selected entries (rules), so
-    # the union stays inside a bias-bounded hypothesis space
-    max_rules: int | None = None
+class CombineProblem(Frozen):
+    # `max_rules`, when set, is a hard budget on the number of selected
+    # entries (rules), so the union stays inside a bias-bounded hypothesis space
+    __slots__ = ("entries", "n_pos", "n_neg", "spec", "max_rules")
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple[PromisingEntry, ...], n_pos: int, n_neg: int,
+                 spec: CostSpec, max_rules: int | None = None):
+        init_field(self, "entries", entries)
+        init_field(self, "n_pos", n_pos)
+        init_field(self, "n_neg", n_neg)
+        init_field(self, "spec", spec)
+        init_field(self, "max_rules", max_rules)
         seen: set[int] = set()
         for e in self.entries:
             _check_bits(e, self.n_pos, self.n_neg)
@@ -93,12 +95,15 @@ class CombineProblem:
             seen.add(e.id)
 
 
-@dataclass(frozen=True)
-class CombineSolution:
-    selected: tuple[int, ...]
-    cost: CostVector
-    conf: Confusion
-    total_size: int
+class CombineSolution(Frozen):
+    __slots__ = ("selected", "cost", "conf", "total_size")
+
+    def __init__(self, selected: tuple[int, ...], cost: CostVector, conf: Confusion,
+                 total_size: int):
+        init_field(self, "selected", selected)
+        init_field(self, "cost", cost)
+        init_field(self, "conf", conf)
+        init_field(self, "total_size", total_size)
 
 
 def _check_bits(e: PromisingEntry, n_pos: int, n_neg: int) -> None:
@@ -330,7 +335,8 @@ class CombinePool:
         self.solution = _solution(self._p, (), ())
 
     def problem(self) -> CombineProblem:
-        return replace(self._p, entries=tuple(self.entries))
+        p = self._p
+        return CombineProblem(tuple(self.entries), p.n_pos, p.n_neg, p.spec, p.max_rules)
 
     def insert(self, e: PromisingEntry) -> str:
         """Add `e` and say which case it was:

@@ -7,21 +7,20 @@ compared lexicographically.  All arithmetic is exact integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import LexicostError
 from .evaluator import Confusion
+from .record import Frozen, init_field
 
 CostVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LinearComponent:
-    a_fp: int
-    b_fn: int
-    c_size: int
+class LinearComponent(Frozen):
+    __slots__ = ("a_fp", "b_fn", "c_size")
 
-    def __post_init__(self):
+    def __init__(self, a_fp: int, b_fn: int, c_size: int):
+        init_field(self, "a_fp", a_fp)
+        init_field(self, "b_fn", b_fn)
+        init_field(self, "c_size", c_size)
         for coef in (self.a_fp, self.b_fn, self.c_size):
             if coef not in (0, 1):
                 raise LexicostError(f"coefficients must be 0 or 1, got {coef}")
@@ -32,12 +31,12 @@ class LinearComponent:
         return self.a_fp * conf.fp + self.b_fn * conf.fn + self.c_size * size
 
 
-@dataclass(frozen=True)
-class CostSpec:
-    name: str
-    components: tuple[LinearComponent, ...]
+class CostSpec(Frozen):
+    __slots__ = ("name", "components")
 
-    def __post_init__(self):
+    def __init__(self, name: str, components: tuple[LinearComponent, ...]):
+        init_field(self, "name", name)
+        init_field(self, "components", components)
         if not self.components:
             raise LexicostError("a cost spec needs at least one component")
 

@@ -38,8 +38,6 @@ or the candidate cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .combiner import (
     FULL,
     SKIP,
@@ -60,47 +58,57 @@ from .evaluator import (
 )
 from .generator import CandidateGenerator, prune_specializations
 from .kb import EMPTY_PROGRAM, Atom, Bias, Program, Rule, Task, kept, validate_example
+from .record import Record
 
 PROOF_OPTIMAL = "optimal"
 PROOF_CAP_EXHAUSTED = "cap-exhausted"
 
 
-@dataclass
-class LearnOptions:
-    spec: CostSpec
-    max_size: int | None = None
-    candidate_cap: int | None = None
+class LearnOptions(Record):
+    __slots__ = ("spec", "max_size", "candidate_cap")
 
-    def __post_init__(self):
+    def __init__(self, spec: CostSpec, max_size: int | None = None,
+                 candidate_cap: int | None = None):
+        self.spec = spec
+        self.max_size = max_size
+        self.candidate_cap = candidate_cap
         for name in ("max_size", "candidate_cap"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise LexicostError(f"{name} must be >= 0, got {value}")
 
 
-@dataclass
-class LearnStats:
-    generated: int = 0
-    promising: int = 0
-    # arrivals that an entry already in the pool dominates, and arrivals that
-    # needed the pool solved from scratch (see `CombinePool.insert`)
-    combine_skipped: int = 0
-    combine_resolves: int = 0
-    # why the loop ended: "exhausted" (the stream ran out), "zero-cost" (the
-    # best cost is all zeros) or "candidate-cap"
-    stop: str = "exhausted"
+class LearnStats(Record):
+    __slots__ = ("generated", "promising", "combine_skipped", "combine_resolves", "stop")
+
+    def __init__(self, generated: int = 0, promising: int = 0, combine_skipped: int = 0,
+                 combine_resolves: int = 0, stop: str = "exhausted"):
+        self.generated = generated
+        self.promising = promising
+        # arrivals that an entry already in the pool dominates, and arrivals
+        # that needed the pool solved from scratch (see `CombinePool.insert`)
+        self.combine_skipped = combine_skipped
+        self.combine_resolves = combine_resolves
+        # why the loop ended: "exhausted" (the stream ran out), "zero-cost"
+        # (the best cost is all zeros) or "candidate-cap"
+        self.stop = stop
 
 
-@dataclass
-class LearnResult:
-    best: Program
-    cost: CostVector
-    train_conf: Confusion
-    stats: LearnStats
-    proof: str
-    final_problem: CombineProblem | None = None
-    # costs at the start and after each improvement, in loop order
-    cost_history: tuple[CostVector, ...] = ()
+class LearnResult(Record):
+    __slots__ = ("best", "cost", "train_conf", "stats", "proof", "final_problem",
+                 "cost_history")
+
+    def __init__(self, best: Program, cost: CostVector, train_conf: Confusion,
+                 stats: LearnStats, proof: str, final_problem: CombineProblem | None = None,
+                 cost_history: tuple[CostVector, ...] = ()):
+        self.best = best
+        self.cost = cost
+        self.train_conf = train_conf
+        self.stats = stats
+        self.proof = proof
+        self.final_problem = final_problem
+        # costs at the start and after each improvement, in loop order
+        self.cost_history = cost_history
 
 
 def _admissible(

@@ -39,12 +39,12 @@ component per example set) for its lifetime; `max_atoms` bounds neither.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import LengthMismatchError, LexicostError, ResourceLimitError
 from .kb import Atom, Program, Rule, Task, is_var, kept
+from .record import Frozen, init_field
 
 DEFAULT_ATOM_CAP = 10_000_000
 
@@ -52,22 +52,26 @@ DEFAULT_ATOM_CAP = 10_000_000
 _Key = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class Coverage:
+class Coverage(Frozen):
     """Bitsets over the positive/negative example lists; bit i = example i."""
 
-    pos_bits: int
-    neg_bits: int
-    n_pos: int
-    n_neg: int
+    __slots__ = ("pos_bits", "neg_bits", "n_pos", "n_neg")
+
+    def __init__(self, pos_bits: int, neg_bits: int, n_pos: int, n_neg: int):
+        init_field(self, "pos_bits", pos_bits)
+        init_field(self, "neg_bits", neg_bits)
+        init_field(self, "n_pos", n_pos)
+        init_field(self, "n_neg", n_neg)
 
 
-@dataclass(frozen=True)
-class Confusion:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
+class Confusion(Frozen):
+    __slots__ = ("tp", "fp", "tn", "fn")
+
+    def __init__(self, tp: int, fp: int, tn: int, fn: int):
+        init_field(self, "tp", tp)
+        init_field(self, "fp", fp)
+        init_field(self, "tn", tn)
+        init_field(self, "fn", fn)
 
 
 def bits_to_string(bits: int, length: int) -> str:
@@ -149,7 +153,7 @@ def fact_store(t: Task) -> _Store:
 def with_examples(t: Task, pos: tuple[Atom, ...], neg: tuple[Atom, ...]) -> Task:
     """A task with `t`'s background and bias but other examples, sharing
     `t`'s fact store (built now if `t` has none yet)."""
-    out = replace(t, pos=pos, neg=neg)
+    out = Task(t.bk_facts, pos, neg, t.bias)
     kept(out, "_fact_store", lambda: fact_store(t))
     return out
 

@@ -22,17 +22,18 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
-
 from .kb import Atom, Bias, Program, Rule, is_var, kept, variable_name
+from .record import Frozen, init_field
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Frozen):
     """Prune every specialisation of `anchor`: each program that it subsumes
     (see `program_subsumes`)."""
 
-    anchor: Program
+    __slots__ = ("anchor",)
+
+    def __init__(self, anchor: Program):
+        init_field(self, "anchor", anchor)
 
 
 def prune_specializations(anchor: Program) -> Constraint:
@@ -386,9 +387,18 @@ class CandidateGenerator:
         return True
 
     def _extend_bitset(self, rule_id: int, n_anchors: int) -> None:
+        start = self._anchors_tested[rule_id]
+        fresh = self._anchors[start:n_anchors]
+        sids = 0
+        for anchor in fresh:
+            sids |= anchor
+        # one question to the relation settles every subsumer of the fresh
+        # anchors; each anchor's bit then reads the rule's subsumer mask
+        self._table.subsumed_by(rule_id, sids)
+        subsumers = self._table.subsumed[rule_id]
         bits = self._subsumed_by[rule_id]
-        for k in range(self._anchors_tested[rule_id], n_anchors):
-            if self._table.subsumed_by(rule_id, self._anchors[k]):
+        for k, anchor in enumerate(fresh, start):
+            if anchor & subsumers:
                 bits |= 1 << k
         self._subsumed_by[rule_id] = bits
         self._anchors_tested[rule_id] = n_anchors

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
     UnknownBiasDirectiveError,
     UnknownPredicateError,
 )
+from .record import Frozen, init_field
 
 def variable_name(index: int) -> str:
     """Canonical variable name for position `index`: A..Z, then V26, V27, ..."""
@@ -38,10 +38,20 @@ def is_var(name: str) -> bool:
     return name[0].isupper()
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    predicate: str
-    args: tuple[str, ...]
+class Atom(Frozen):
+    __slots__ = ("predicate", "args")
+
+    def __init__(self, predicate: str, args: tuple[str, ...]):
+        init_field(self, "predicate", predicate)
+        init_field(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return self.predicate == other.predicate and self.args == other.args
+
+    def __hash__(self) -> int:
+        return hash((self.predicate, self.args))
 
     @property
     def arity(self) -> int:
@@ -106,24 +116,31 @@ def _canonicalise(head: Atom, body: Iterable[Atom]) -> tuple[Atom, tuple[Atom, .
     return new_head, tuple(a for _, a in best)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Frozen):
     """A definite clause; stored canonically (see module docstring)."""
 
-    head: Atom
-    body: tuple[Atom, ...]
+    __slots__ = ("head", "body")
 
     def __init__(self, head: Atom, body: Iterable[Atom]):
         head, body = _canonicalise(head, body)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "body", body)
+        init_field(self, "head", head)
+        init_field(self, "body", body)
 
     @classmethod
     def canonical(cls, head: Atom, body: tuple[Atom, ...]) -> "Rule":
         """The rule of a canonical head and sorted body: no renaming search."""
         rule = object.__new__(cls)
-        rule.__dict__.update(head=head, body=body)
+        init_field(rule, "head", head)
+        init_field(rule, "body", body)
         return rule
+
+    def __eq__(self, other):
+        if other.__class__ is not Rule:
+            return NotImplemented
+        return self.head == other.head and self.body == other.body
+
+    def __hash__(self) -> int:
+        return hash((self.head, self.body))
 
     @property
     def size(self) -> int:
@@ -142,15 +159,22 @@ class Rule:
         return f"{self.head}:- {','.join(str(a) for a in self.body)}."
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Frozen):
     """A duplicate-free set of rules, ordered by (size, text)."""
 
-    rules: tuple[Rule, ...] = ()
+    __slots__ = ("rules",)
 
     def __init__(self, rules: Iterable[Rule] = ()):
         unique = sorted(set(rules), key=Rule.sort_key)
-        object.__setattr__(self, "rules", tuple(unique))
+        init_field(self, "rules", tuple(unique))
+
+    def __eq__(self, other):
+        if other.__class__ is not Program:
+            return NotImplemented
+        return self.rules == other.rules
+
+    def __hash__(self) -> int:
+        return hash(self.rules)
 
     @property
     def size(self) -> int:
@@ -186,16 +210,20 @@ def render_program(p: Program) -> str:
     return "\n".join(str(r) for r in p.rules)
 
 
-@dataclass(frozen=True)
-class Bias:
-    head_preds: frozenset[tuple[str, int]]
-    body_preds: frozenset[tuple[str, int]]
-    max_vars: int
-    max_body: int
-    max_clauses: int
-    enable_recursion: bool = False
+class Bias(Frozen):
+    # the `__dict__` holds what `kept` stores: the rule table
+    __slots__ = ("head_preds", "body_preds", "max_vars", "max_body", "max_clauses",
+                 "enable_recursion", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, head_preds: frozenset[tuple[str, int]],
+                 body_preds: frozenset[tuple[str, int]], max_vars: int, max_body: int,
+                 max_clauses: int, enable_recursion: bool = False):
+        init_field(self, "head_preds", head_preds)
+        init_field(self, "body_preds", body_preds)
+        init_field(self, "max_vars", max_vars)
+        init_field(self, "max_body", max_body)
+        init_field(self, "max_clauses", max_clauses)
+        init_field(self, "enable_recursion", enable_recursion)
         if not self.head_preds:
             raise InvalidBiasValueError("at least one head_pred is required")
         for name, arity in sorted(self.head_preds):
@@ -214,14 +242,17 @@ class Bias:
         return self.max_clauses * (1 + self.max_body)
 
 
-@dataclass(frozen=True)
-class Task:
-    bk_facts: frozenset[Atom]
-    pos: tuple[Atom, ...]
-    neg: tuple[Atom, ...]
-    bias: Bias
+class Task(Frozen):
+    # the `__dict__` holds what `kept` stores: the fact store, the component
+    # index and the candidate walk
+    __slots__ = ("bk_facts", "pos", "neg", "bias", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, bk_facts: frozenset[Atom], pos: tuple[Atom, ...],
+                 neg: tuple[Atom, ...], bias: Bias):
+        init_field(self, "bk_facts", bk_facts)
+        init_field(self, "pos", pos)
+        init_field(self, "neg", neg)
+        init_field(self, "bias", bias)
         if not self.pos:
             raise NoPositiveExamplesError("a task needs at least one positive example")
         overlap = set(self.pos) & set(self.neg)
@@ -246,9 +277,11 @@ _T = TypeVar("_T")
 
 def kept(obj, name: str, make: Callable[[], _T]) -> _T:
     """`obj`'s attribute `name`, made by `make()` on the first call and kept
-    on the frozen `obj` (a `Task` or a `Bias`) for every later call."""
+    for every later call in the `__dict__` of `obj` (a `Task` or a `Bias`).
+    Records refuse assignment to their fields, not this; what is kept is no
+    field, so equality, hashing and copies ignore it."""
     if name not in obj.__dict__:
-        object.__setattr__(obj, name, make())
+        init_field(obj, name, make())
     return obj.__dict__[name]
 
 

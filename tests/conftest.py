@@ -26,6 +26,19 @@ def make_task(bk, pos, neg, head_preds, body_preds, max_vars=3, max_body=2,
     )
 
 
+def equal_bias(b: Bias) -> Bias:
+    """A bias equal to `b` that carries nothing `kept` stored on `b`: its own
+    rule table is made on first use."""
+    return Bias(b.head_preds, b.body_preds, b.max_vars, b.max_body, b.max_clauses,
+                b.enable_recursion)
+
+
+def equal_task(t: Task) -> Task:
+    """A task equal to `t`, on `t`'s bias, that carries nothing `kept` stored
+    on `t`: its own fact store, component index and candidate walk."""
+    return Task(t.bk_facts, t.pos, t.neg, t.bias)
+
+
 # (head predicate, body predicates, bias keywords) of the planted-concept
 # fuzz tasks
 PLANTED_SHAPES = [

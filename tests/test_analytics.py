@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import typing
@@ -249,12 +248,21 @@ class TestRankTable:
 
 # a results CSV row's name fields may hold commas, quotes and spaces
 CSV_TEXT = st.text("ab_/1 ,\"'", max_size=6)
-COLUMN_TYPES = typing.get_type_hints(ResultRow)
+COLUMN_TYPES = typing.get_type_hints(ResultRow.__init__)
 INT_COLUMNS = [c for c in CSV_COLUMNS if COLUMN_TYPES[c] is int]
 
 
 def row_order(r: ResultRow):
     return (r.domain, r.task, r.cost_fn, r.repeat)
+
+
+def row_key(r: ResultRow):
+    """What identifies a row; a results CSV holds each key once."""
+    return (r.domain, r.task, r.repeat, r.cost_fn)
+
+
+def with_cells(r: ResultRow, **cells) -> ResultRow:
+    return ResultRow(**{**r._asdict(), **cells})
 
 
 def make_rows():
@@ -288,7 +296,7 @@ class TestResultsPipeline:
     @given(st.lists(st.builds(ResultRow, **{
         c: st.integers(0, 2**63) if COLUMN_TYPES[c] is int else CSV_TEXT
         for c in CSV_COLUMNS
-    }), min_size=1, max_size=6))
+    }), min_size=1, max_size=6, unique_by=row_key))
     def test_random_rows_round_trip(self, rows):
         assert read_results_csv(write_results_csv(rows)) == sorted(rows, key=row_order)
 
@@ -300,12 +308,20 @@ class TestResultsPipeline:
     def test_bad_int_value_names_its_row(self, column, value):
         # rows of two cost functions, so that writing never orders by `repeat`
         rows = make_rows()
-        bad = dataclasses.replace(rows[2], **{column: value})
+        bad = with_cells(rows[2], **{column: value})
         text = write_results_csv([rows[0], bad])
         if column == "runtime_ms" and value == "":
-            assert read_results_csv(text)[1] == dataclasses.replace(bad, runtime_ms=0)
+            assert read_results_csv(text)[1] == with_cells(bad, runtime_ms=0)
             return
         with pytest.raises(SchemaError, match="^row 3: "):
+            read_results_csv(text)
+
+    @pytest.mark.parametrize("cells", [{}, {"tp": 0, "fn": 100}], ids=["same", "conflicting"])
+    def test_repeated_key_names_both_rows(self, cells):
+        rows = make_rows()
+        text = write_results_csv(rows[:3]) + write_results_csv([with_cells(rows[1], **cells)]
+                                                               ).split("\n", 1)[1]
+        with pytest.raises(SchemaError, match="^row 5 repeats .* of row 3$"):
             read_results_csv(text)
 
     def test_schema_errors(self):

@@ -640,6 +640,20 @@ class TestBench:
         with pytest.raises(LexicostError):
             SuiteConfig(root_dir=suite_root, cost_fns=("error",), split=1.5)
 
+    @pytest.mark.parametrize("costs, message", [
+        ("", "at least one cost function"),
+        (" , ", "at least one cost function"),
+        ("error,mdl,error", "named more than once: error"),
+    ])
+    def test_no_or_repeated_cost_functions_exit_2(self, suite_root, tmp_path, capsys,
+                                                  costs, message):
+        code = main(["bench", "--root", str(suite_root), "--costs", costs,
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestSplit:
     def test_stratified_and_deterministic(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import weakref
 
@@ -17,8 +16,8 @@ from lexicost.engine import (
 )
 from lexicost.errors import ResourceLimitError, UnknownPredicateError
 from lexicost.generator import CandidateGenerator
-from lexicost.kb import atom, parse_program, render_program
-from conftest import make_task
+from lexicost.kb import Task, atom, parse_program, render_program
+from conftest import equal_bias, equal_task, make_task
 from oracles import exhaustive_best_cost
 
 
@@ -124,7 +123,7 @@ class TestLoopBehaviour:
             with monkeypatch.context() as m:
                 for name_off in off:
                     m.setattr(*switches[name_off])
-                assert learn(dataclasses.replace(task), opts(name)).cost == reference
+                assert learn(equal_task(task), opts(name)).cost == reference
 
     def test_candidate_cap(self, trains_task):
         res = learn(trains_task, opts("errorsize", candidate_cap=2))
@@ -206,11 +205,11 @@ class TestCandidateWalk:
             task = task[0]  # (task, held-out positives, held-out negatives)
         names = ALL_SPEC_NAMES if order == "forward" else ALL_SPEC_NAMES[::-1]
         cycle = [{}, {"max_size": 3}, {"candidate_cap": 5}]
-        shared = dataclasses.replace(task)
+        shared = equal_task(task)
         for k, name in enumerate(names):
             kw = cycle[k % len(cycle)] if options == "mixed" else options
             result = learn(shared, opts(name, **kw))
-            assert result == learn(dataclasses.replace(task), opts(name, **kw)), name
+            assert result == learn(equal_task(task), opts(name, **kw)), name
 
     def test_each_candidate_is_tested_once(self, path_task_full, monkeypatch):
         tested = []
@@ -248,14 +247,14 @@ class TestCandidateWalk:
                             lambda b, size: listed.append(size) or real(b, size))
         for name in ALL_SPEC_NAMES:
             listed.clear()
-            own = dataclasses.replace(task, bias=dataclasses.replace(task.bias))
+            own = Task(task.bk_facts, task.pos, task.neg, equal_bias(task.bias))
             learn(own, opts(name, max_size=k))
             assert max(listed, default=0) <= k, name
 
     def test_walk_is_freed_with_its_task(self, trains_task):
         # no reference cycle keeps a finished task's walk alive until the
         # cycle collector runs
-        task = dataclasses.replace(trains_task)
+        task = equal_task(trains_task)
         learn(task, opts("error"))
         walk = weakref.ref(candidate_walk(task))
         gc.disable()
@@ -291,11 +290,11 @@ class TestCandidateWalk:
         # `mdl` reads items 0 .. 3 and the other six read items 0 .. 14
         index = 4
         names = ALL_SPEC_NAMES if order == "forward" else ALL_SPEC_NAMES[::-1]
-        fresh = {n: learn(dataclasses.replace(compression_task), opts(n))
+        fresh = {n: learn(equal_task(compression_task), opts(n))
                  for n in names}
         assert [fresh[n].stats.generated > index for n in ALL_SPEC_NAMES] == \
             [True] * 6 + [False]
-        probe = dataclasses.replace(compression_task)
+        probe = equal_task(compression_task)
         learn(probe, opts("error"))
         target = candidate_walk(probe).items[index][0]
         real = engine.coverage

@@ -18,8 +18,7 @@ from lexicost.evaluator import (
     string_to_bits,
 )
 from lexicost.generator import theta_subsumes
-from lexicost.kb import Program, Rule, atom, parse_program, parse_rule, parse_task
-from dataclasses import replace
+from lexicost.kb import Program, Rule, Task, atom, parse_program, parse_rule, parse_task
 
 from conftest import TRAINS_BIAS, TRAINS_BK, TRAINS_EXS, make_task
 from oracles import (
@@ -467,7 +466,7 @@ class TestFactorisedCoverage:
                           "f(b) g(b,b)", "f(c) g(a,a)", *_DISTINCT_PROGRAMS))
     def test_matches_naive_oracle(self, case):
         task, pos2, neg2, programs = case
-        second = replace(task, pos=pos2, neg=neg2)
+        second = Task(task.bk_facts, pos2, neg2, task.bias)
         for program in programs:
             cov = coverage(program, task)
             assert (cov.pos_bits, cov.neg_bits) == naive_coverage_bits(program, task)

@@ -5,6 +5,7 @@ for the engine, larger combine instances, and end-to-end bench/analyze runs
 over generated suites.  Everything is deterministic given the seeds.
 """
 
+import itertools
 import random
 
 import pytest
@@ -16,13 +17,14 @@ from lexicost.combiner import (
 )
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS
 from lexicost.engine import LearnOptions, learn
-from lexicost.kb import Program
+from lexicost.kb import Program, atom
 from conftest import PLANTED_SHAPES, make_task
 from oracles import (
     brute_force_combination,
     enumerate_programs,
     exhaustive_best_costs,
     naive_coverage,
+    naive_least_model,
     non_dominated,
     random_facts,
     random_program,
@@ -31,69 +33,45 @@ from oracles import (
 SPECS = [NAMED_SPECS[name] for name in ALL_SPEC_NAMES]
 
 
-def _planted_task(rng: random.Random):
-    """A task whose labels come from a hidden random program, with noise."""
-    head, body, bias_kw = PLANTED_SHAPES[rng.randrange(len(PLANTED_SHAPES))]
+def _planted_task(rng: random.Random, shape, recursive: bool = False):
+    """A task whose labels come from a hidden random program, with noise.
+
+    The hidden program defines each head predicate of `shape` by rules over
+    its body predicates, and over its head predicates too if `recursive`;
+    3 to 8 examples over the head predicates are labelled by it, and each
+    label flips with probability 0.2."""
+    heads, body, bias_kw = shape
     constants = [f"c{i}" for i in range(rng.randint(3, 5))]
     facts = random_facts(rng, body, constants, rng.randint(3, 12))
-    hp, ha = head
+    callable_preds = body + heads if recursive else body
+    hidden = Program(r for head in heads
+                     for r in random_program(rng, head, callable_preds, bias_kw["max_vars"],
+                                             bias_kw["max_body"], rng.randint(1, 2)).rules)
+    model = naive_least_model(hidden, facts)
 
-    hidden = random_program(rng, head, body, bias_kw["max_vars"],
-                            bias_kw["max_body"], rng.randint(1, 2))
-    probe = make_task(
-        bk=[(a.predicate, *a.args) for a in facts],
-        pos=[(hp, *([constants[0]] * ha))],
-        neg=[],
-        head_preds={head},
-        body_preds=set(body),
-        **bias_kw,
-    )
-    covered_pos, _ = _hidden_bits(hidden, probe, constants, ha, hp)
-
-    import itertools
-
-    universe = sorted(set(itertools.product(constants, repeat=ha)))
+    universe = sorted((hp, *args) for hp, ha in heads
+                      for args in itertools.product(constants, repeat=ha))
     rng.shuffle(universe)
     universe = universe[: rng.randint(3, min(8, len(universe)))]
     labels = {}
-    for args in universe:
-        truth = args in covered_pos
+    for example in universe:
+        truth = atom(*example) in model
         if rng.random() < 0.2:
             truth = not truth
-        labels[args] = truth
+        labels[example] = truth
     if not any(labels.values()):
         labels[universe[0]] = True
-    pos = [(hp, *args) for args, lab in sorted(labels.items()) if lab]
-    neg = [(hp, *args) for args, lab in sorted(labels.items()) if not lab]
     return make_task(
         bk=[(a.predicate, *a.args) for a in facts],
-        pos=pos,
-        neg=neg,
-        head_preds={head},
+        pos=[ex for ex, lab in sorted(labels.items()) if lab],
+        neg=[ex for ex, lab in sorted(labels.items()) if not lab],
+        head_preds=set(heads),
         body_preds=set(body),
         **bias_kw,
     )
 
 
-def _hidden_bits(hidden: Program, probe, constants, ha, hp):
-    from oracles import naive_least_model
-    from lexicost.kb import atom as mk_atom
-
-    model = naive_least_model(hidden, probe.bk_facts)
-    import itertools
-
-    covered = {
-        args
-        for args in itertools.product(constants, repeat=ha)
-        if mk_atom(hp, *args) in model
-    }
-    return covered, model
-
-
-@pytest.mark.parametrize("seed", range(24))
-def test_engine_oracle_fuzz(seed):
-    rng = random.Random(900_000 + seed)
-    task = _planted_task(rng)
+def _check_against_oracle(task, seed):
     space = sum(1 for _ in enumerate_programs(task.bias))
     assert space <= 5000
     oracle = exhaustive_best_costs(task, SPECS)
@@ -103,6 +81,30 @@ def test_engine_oracle_fuzz(seed):
         assert res.cost == oracle[spec.name], (seed, spec.name)
         # the returned program really has the reported confusion
         assert naive_coverage(res.best, task) == res.train_conf
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_engine_oracle_fuzz(seed):
+    rng = random.Random(900_000 + seed)
+    head, body, bias_kw = PLANTED_SHAPES[rng.randrange(len(PLANTED_SHAPES))]
+    _check_against_oracle(_planted_task(rng, ([head], body, bias_kw)), seed)
+
+
+# two head predicates that may call each other, and a recursive bias whose
+# programs have up to three rules; their hidden programs may recurse
+EXTRA_SHAPES = {
+    "two_heads": ([("f", 1), ("g", 1)], [("p", 1), ("e", 2)],
+                  dict(max_vars=2, max_body=2, max_clauses=2, enable_recursion=True)),
+    "three_rules": ([("f", 1)], [("p", 1), ("e", 2)],
+                    dict(max_vars=2, max_body=2, max_clauses=3, enable_recursion=True)),
+}
+
+
+@pytest.mark.parametrize("name", EXTRA_SHAPES)
+@pytest.mark.parametrize("seed", range(8))
+def test_engine_oracle_fuzz_extra_shapes(name, seed):
+    rng = random.Random(f"{name}:{seed}")
+    _check_against_oracle(_planted_task(rng, EXTRA_SHAPES[name], recursive=True), seed)
 
 
 @pytest.mark.parametrize("seed", range(6))

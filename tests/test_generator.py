@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -27,7 +26,7 @@ from lexicost.kb import (
     parse_rule,
     render_program,
 )
-from conftest import PLANTED_SHAPES
+from conftest import PLANTED_SHAPES, equal_bias
 from oracles import (
     _oracle_rule_ok,
     all_rules_can_fire,
@@ -216,7 +215,7 @@ class TestRuleTable:
              max_clauses=2, recursion=True),
     ], ids=["plain", "recursive"])
     def test_partial_table_changes_no_stream(self, b):
-        fresh = list(CandidateGenerator(dataclasses.replace(b)))  # an equal bias, own table
+        fresh = list(CandidateGenerator(equal_bias(b)))  # an equal bias, own table
         # a prefix of the stream, cut at its first candidate of size 3,
         # lists sizes 1 .. 3 while holding anchors
         partial = CandidateGenerator(b)
@@ -235,7 +234,7 @@ class TestRuleTable:
     def test_second_generator_makes_no_subsumption_check(self, monkeypatch):
         from lexicost import generator
 
-        b = dataclasses.replace(TINY_BIASES[4])  # path/edge, recursive; own table
+        b = equal_bias(TINY_BIASES[4])  # path/edge, recursive; own table
         checks = []
         real = generator._covers
         monkeypatch.setattr(generator, "_covers",

@@ -12,7 +12,6 @@ Rewrite the file only for a deliberate change of outputs:
     PYTHONPATH=src python tests/test_rule_tables.py
 """
 
-import dataclasses
 import json
 import random
 from pathlib import Path
@@ -21,6 +20,7 @@ import pytest
 
 from lexicost.generator import rule_table
 from lexicost.kb import Atom, Bias, Rule, parse_bias
+from conftest import equal_bias
 from oracles import brute_canonical, brute_subsumes
 
 TESTS = Path(__file__).parent
@@ -58,7 +58,7 @@ def biases() -> dict[str, Bias]:
         out[path.parent.relative_to(TESTS.parent).as_posix()] = parse_bias(path.read_text())
     for i, b in enumerate(TINY_BIASES):
         # an equal bias with its own table, so no earlier test's table is read
-        out[f"tiny/{i}"] = dataclasses.replace(b)
+        out[f"tiny/{i}"] = equal_bias(b)
     return out
 
 
