@@ -16,14 +16,6 @@ import sys
 import time
 from pathlib import Path
 
-from . import analytics
-from .analytics import (
-    METRIC_NAMES,
-    ResultRow,
-    analyze_results,
-    read_results_csv,
-    write_results_csv,
-)
 from .combiner import dump_problem
 from .cost import parse_cost_spec
 from .engine import LearnOptions, LearnResult, evaluate_on_test, learn
@@ -32,6 +24,7 @@ from .evaluator import Confusion, fact_store, with_examples
 from .generator import rule_table
 from .kb import (
     Atom,
+    Program,
     Task,
     parse_bias,
     parse_examples,
@@ -40,6 +33,7 @@ from .kb import (
     render_program,
 )
 from .record import Frozen, init_field
+from .results import ResultRow, read_results_csv, write_results_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -51,7 +45,10 @@ def _round4(x: float) -> float:
 
 
 def _metric_json(conf: Confusion) -> dict:
-    rep = analytics.metrics(conf)
+    # the statistics module loads only where it is used
+    from .analytics import METRIC_NAMES, metrics
+
+    rep = metrics(conf)
     return {**{m: _round4(getattr(rep, m)) for m in METRIC_NAMES},
             "flags": sorted(rep.flags), **conf._asdict()}
 
@@ -220,15 +217,19 @@ def _status(exc: BaseException) -> str:
 
 
 def _learned(row: ResultRow, task: Task, test_pos: tuple[Atom, ...],
-             test_neg: tuple[Atom, ...], timing: bool) -> ResultRow:
+             test_neg: tuple[Atom, ...], scored: dict[Program, Confusion],
+             timing: bool) -> ResultRow:
     """`row` filled in by `learn` on the task under its cost function, timed
-    alone."""
+    alone.  `scored` maps each hypothesis already scored on these held-out
+    examples to its confusion, so each is scored once."""
     spec = parse_cost_spec(row.cost_fn)
     started = time.perf_counter()
     result = learn(task, LearnOptions(spec=spec))
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     if test_pos or test_neg:
-        conf = evaluate_on_test(result, task, test_pos, test_neg)
+        conf = scored.get(result.best)
+        if conf is None:
+            conf = scored[result.best] = evaluate_on_test(result, task, test_pos, test_neg)
     else:
         conf = result.train_conf
     return ResultRow(
@@ -250,7 +251,8 @@ def _bench_task(job: tuple[str, str, Path, SuiteConfig]) -> list[ResultRow]:
     `runtime_ms` times the row's `learn` call.  The rows on one `Task` share
     its candidate walk: the first row pays for the walk up to where it
     stops, and a later row only for what it adds.  Repeats without a split
-    share one `Task` and so one walk; each split repeat has its own.
+    share one `Task` and so one walk; each split repeat has its own.  The
+    rows of one held-out set score each learned hypothesis on it once.
     """
     domain, name, d, config = job
     repeats = range(1, config.repeats + 1)
@@ -270,10 +272,13 @@ def _bench_task(job: tuple[str, str, Path, SuiteConfig]) -> list[ResultRow]:
         task = Task(bk_facts=facts, pos=pos, neg=neg, bias=bias)
         fact_store(task)
         rule_table(bias, bias.max_program_size)
+        # each run ends with its held-out scores; repeats without a split
+        # share one run, and so one dict
         if config.split is None:
-            runs = [(task, *held_out)] * config.repeats
+            runs = [(task, *held_out, {})] * config.repeats
         else:
-            runs = [_split_run(task, config.split, _split_seed(config.seed, domain, name, r))
+            runs = [(*_split_run(task, config.split,
+                                 _split_seed(config.seed, domain, name, r)), {})
                     for r in repeats]
     except _CAUGHT as exc:
         return [ResultRow(domain, name, r, c, status=_status(exc))
@@ -346,6 +351,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _analysis_tables(report: dict) -> list[tuple[str, list, list, int]]:
     """(file name, header, rows, decimals of each float) of every aggregate
     CSV that `analyze --out-dir` writes."""
+    from .analytics import METRIC_NAMES
+
     fns = report["cost_fns"]
     stats = ("mean", "stderr")
     per_domain = [
@@ -392,6 +399,8 @@ def _round_floats(obj):
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .analytics import analyze_results
+
     rows = read_results_csv(Path(args.results).read_text())
     report = analyze_results(rows)
     if args.out_dir:

@@ -28,8 +28,9 @@ interpreter's stack:
   fp + fn (+ size), covering a subset S of R costs at least the largest of
   those least rises over S, and each positive of R outside S adds 1 to fn.
   Either rise is a lower bound on every completion, so the cut stays
-  exact; the test walks the remaining entries, so it runs only where the
-  O(1) bound fails to cut;
+  exact.  It runs only where the O(1) bound fails to cut.  The fn-first test
+  reads suffix tables that a search builds the first time a node asks, so
+  a later node with the same negatives and slack rescans nothing;
 - the child with the smaller bound is tried first, so good incumbents come
   early and cut most of the tree.
 
@@ -57,6 +58,8 @@ no include that makes S cover them is pushed.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import itemgetter
+
 from .cost import CostSpec, CostVector, evaluate
 from .errors import LengthMismatchError, LexicostError, ParseError
 from .evaluator import Confusion, bits_to_string, confusion_of, string_to_bits
@@ -142,12 +145,16 @@ def _bound(order: list[PromisingEntry], p: CombineProblem):
     for i in range(len(order) - 1, -1, -1):
         suffix[i] = suffix[i + 1] | order[i].pos_bits
     n_pos = p.n_pos
-    weights = [(c.a_fp, c.b_fn, c.c_size) for c in p.spec.components]
+    # coefficients are 0 or 1, so a component's value is the term sum at
+    # index a + 2b + 4c of the tuple that `bound` builds; an itemgetter of
+    # one index returns the item, not a 1-tuple
+    picks = [c.a_fp + 2 * c.b_fn + 4 * c.c_size for c in p.spec.components]
+    pick = itemgetter(*picks) if len(picks) > 1 else lambda sums, k=picks[0]: (sums[k],)
 
     def bound(i: int, pos: int, neg: int, size: int) -> CostVector:
         fp = neg.bit_count()
         fn = n_pos - (pos | suffix[i]).bit_count()
-        return tuple([a * fp + b * fn + c * size for a, b, c in weights])
+        return pick((0, fp, fn, fp + fn, size, fp + size, fn + size, fp + fn + size))
 
     return bound, suffix
 
@@ -161,10 +168,27 @@ def _reach_cut(order: list[PromisingEntry], suffix: list[int], p: CombineProblem
     An entry e weighs `a·|e.neg_bits & ~neg| + c·e.size` in a component with
     fp and size coefficients a and c: what a completion with e adds there at
     least.  The incumbent's slack t in a component serves as a threshold.
+
+    The fn-first test answers from tables, one per key (j, neg, t): the
+    later component j, the node's negatives (0 when j has no fp term, as
+    the weights then ignore them) and the slack.  For each k from the lowest
+    index a node with that key has asked about to the end, a table holds
+    the OR of the positives of the entries of order[k:] weighing below t,
+    and of those weighing exactly t.  A table is built by one backward pass
+    the first time its key is met, and extended backwards when a node at a
+    lower index asks; every other node reads it in O(1).  The tables live
+    as long as the returned `cut`, i.e. one `_search` call.
     """
     comps = [(c.a_fp, c.c_size) for c in p.spec.components]
     if not p.spec.components[0].b_fn or comps == [(0, 0)]:
         return None
+    n = len(order)
+    pos_bits = [e.pos_bits for e in order]
+    neg_bits = [e.neg_bits for e in order]
+    sizes = [e.size for e in order]
+    # (j, neg, t) -> (below, upto), indexed by n - k, so that extending a
+    # table to a lower k appends
+    tables: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
 
     def cut_fn_first(i, pos, neg, lb, ids, best):
         # A completion missing some k in R loses on fn.  One covering all of
@@ -173,21 +197,31 @@ def _reach_cut(order: list[PromisingEntry], suffix: list[int], p: CombineProblem
         r = suffix[i] & ~pos
         if not r or lb[0] != best[0][0]:
             return False
-        free = ~neg
         for j in range(1, len(comps)):
-            a, c = comps[j]
             t = best[0][j] - lb[j]
-            below = upto = 0
-            for e in order[i:]:
-                if e.pos_bits & r:
-                    w = a * (e.neg_bits & free).bit_count() + c * e.size
+            if t < 0:
+                return True  # every weight is above t
+            a, c = comps[j]
+            key = (j, neg if a else 0, t)
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = ([0], [0])
+            below, upto = table
+            at = n - i
+            if len(below) <= at:
+                free = ~neg
+                b, u = below[-1], upto[-1]
+                for k in range(n - len(below), i - 1, -1):
+                    w = a * (neg_bits[k] & free).bit_count() + c * sizes[k]
                     if w < t:
-                        below |= e.pos_bits
+                        b |= pos_bits[k]
                     elif w == t:
-                        upto |= e.pos_bits
-            if r & ~(below | upto):
+                        u |= pos_bits[k]
+                    below.append(b)
+                    upto.append(u)
+            if r & ~(below[at] | upto[at]):
                 return True  # some k has every weight above t
-            if not r & ~below:
+            if not r & ~below[at]:
                 return False  # every k has a weight below t
         return ids >= best[1]
 
@@ -202,11 +236,11 @@ def _reach_cut(order: list[PromisingEntry], suffix: list[int], p: CombineProblem
         t = best[0][0] - lb[0]
         buckets: dict[int, int] = {}
         free = ~neg
-        for e in order[i:]:
-            if e.pos_bits & r:
-                w = a * (e.neg_bits & free).bit_count() + c * e.size
+        for k in range(i, n):
+            if pos_bits[k] & r:
+                w = a * (neg_bits[k] & free).bit_count() + c * sizes[k]
                 if w <= t:
-                    buckets[w] = buckets.get(w, 0) | e.pos_bits
+                    buckets[w] = buckets.get(w, 0) | pos_bits[k]
         rise, covered = r.bit_count(), 0
         for w in sorted(buckets):
             covered |= buckets[w]
@@ -238,10 +272,15 @@ def _admit(front: list[PromisingEntry], e: PromisingEntry) -> set[int] | None:
     `front` in id order.  None when an entry of `front` dominates `e` (then
     `front` stays as it is: domination is transitive, so `e` dominates none
     of it); else `e` joins, and the ids of the entries it evicts are returned."""
-    if any(_dominates(f, e) for f in front):
-        return None
-    evicted = {f.id for f in front if _dominates(e, f)}
-    front[:] = [f for f in front if f.id not in evicted] + [e]
+    evicted: set[int] = set()
+    for f in front:
+        if _dominates(f, e):
+            return None
+        if _dominates(e, f):
+            evicted.add(f.id)
+    if evicted:
+        front[:] = [f for f in front if f.id not in evicted]
+    front.append(e)
     return evicted
 
 

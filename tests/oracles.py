@@ -375,6 +375,41 @@ def brute_force_combination(p: CombineProblem) -> CombineSolution:
     return CombineSolution(selected=ids, cost=cost, conf=conf, total_size=size)
 
 
+def scanning_fn_first_cut(order, spec: CostSpec, i: int, pos: int, neg: int, lb: tuple,
+                          ids: tuple, best: tuple) -> bool:
+    """The combiner's reach cut for a first component of fn alone, as it was
+    first written: each call rescans order[i:] once per later component.
+
+    R is the positives that order[i:] can add to `pos`.  A completion missing
+    some of R loses on fn; one covering R raises component j by at least the
+    least weight `a·|e.neg_bits & ~neg| + c·e.size` of an entry covering k,
+    for every k in R.  With slack t = best[0][j] - lb[j], the node is cut if
+    some k has no weight <= t, kept if every k has one < t, else j + 1
+    decides, and the ids after the last component.
+    """
+    r = 0
+    for e in order[i:]:
+        r |= e.pos_bits
+    r &= ~pos
+    if not r or lb[0] != best[0][0]:
+        return False
+    for j, comp in enumerate(spec.components[1:], 1):
+        t = best[0][j] - lb[j]
+        below = upto = 0
+        for e in order[i:]:
+            if e.pos_bits & r:
+                w = comp.a_fp * bin(e.neg_bits & ~neg).count("1") + comp.c_size * e.size
+                if w < t:
+                    below |= e.pos_bits
+                elif w == t:
+                    upto |= e.pos_bits
+        if r & ~(below | upto):
+            return True
+        if not r & ~below:
+            return False
+    return ids >= best[1]
+
+
 # ---------------------------------------------------------------------------
 # Brute-force Wilcoxon p-value
 # ---------------------------------------------------------------------------

@@ -617,6 +617,36 @@ class TestBench:
         }
         assert sorted(key for keys in seen for key in keys) == sorted(listed)
 
+    @pytest.mark.parametrize("split", [None, 0.5])
+    def test_each_hypothesis_is_scored_once_per_held_out_set(self, monkeypatch, split):
+        # reach/t1 has held-out examples, and its seven cost functions learn
+        # two programs; without a split the three repeats share one held-out
+        # set, with one each split repeat has its own training set and its own
+        # held-out set
+        from lexicost import cli
+
+        learned, scored = set(), Counter()
+        real_learn, real_score = cli.learn, cli.evaluate_on_test
+
+        def learn(task, options):
+            result = real_learn(task, options)
+            learned.add((task.pos, task.neg, result.best))
+            return result
+
+        def score(result, task, test_pos, test_neg):
+            scored[task.pos, task.neg, result.best] += 1
+            return real_score(result, task, test_pos, test_neg)
+
+        monkeypatch.setattr(cli, "learn", learn)
+        monkeypatch.setattr(cli, "evaluate_on_test", score)
+        rows = read_results_csv(run_bench(SuiteConfig(
+            root_dir=DEMO / "reach", cost_fns=ALL_SPEC_NAMES, repeats=3, split=split,
+            timing=False,
+        )))
+        assert [r.status for r in rows] == ["ok"] * 21
+        assert scored == Counter(learned)
+        assert sum(scored.values()) < len(rows)
+
     def test_one_fact_store_per_task_with_split(self, monkeypatch):
         from lexicost import evaluator
 
@@ -777,3 +807,15 @@ def test_import_loads_neither_worker_pool_nor_hashing():
     done = subprocess.run([sys.executable, "-c", probe], check=True,
                           capture_output=True, text=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_import_leaves_the_statistics_unloaded():
+    # `learn` and `bench` need only the results-CSV schema; `analyze` and the
+    # held-out metrics of `learn --test-exs` import the statistics themselves
+    import subprocess
+    import sys
+
+    probe = "import sys, lexicost.cli; print('lexicost.analytics' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "False"

@@ -22,12 +22,20 @@ from lexicost.combiner import (
 from lexicost.cost import ALL_SPEC_NAMES, NAMED_SPECS, evaluate, parse_cost_spec
 from lexicost.errors import LexicostError, ParseError
 from lexicost.evaluator import string_to_bits
-from oracles import TooLargeError, brute_force_combination, cost_levels, non_dominated
+from oracles import (
+    TooLargeError,
+    brute_force_combination,
+    cost_levels,
+    non_dominated,
+    scanning_fn_first_cut,
+)
 
 DATA = Path(__file__).parent / "data"
 # the named specs, and custom ones that reach each branch of `_reach_cut`
 CUT_SPECS = ALL_SPEC_NAMES + ("custom:fn,size,fp", "custom:fn,fp+size",
                               "custom:fn+size", "custom:fp+fn+size,fp")
+# those whose first component is fn alone, with a component after it
+FN_FIRST_SPECS = ("fnfp", "fnfpsize", "custom:fn,size,fp", "custom:fn,fp+size")
 
 
 def entry(i, size, pos, neg):
@@ -367,10 +375,27 @@ class TestCombinePool:
                 assert pool.front == non_dominated(pool.entries), (trial, i)
 
 
+def union(chosen):
+    """(pos, neg, size) of the union of the entries `chosen`."""
+    pos = neg = size = 0
+    for e in chosen:
+        pos, neg, size = pos | e.pos_bits, neg | e.neg_bits, size + e.size
+    return pos, neg, size
+
+
+def selection_key(p, chosen):
+    """The key `(cost, ids)` of the selection `chosen`, costed by the levels
+    of `p`'s spec."""
+    pos, neg, size = union(chosen)
+    terms = {"fp": bin(neg).count("1"), "size": size, "fn": p.n_pos - bin(pos).count("1")}
+    return (tuple(sum(terms[t] for t in level) for level in cost_levels(p.spec)),
+            tuple(e.id for e in chosen))
+
+
 @st.composite
-def search_problems(draw):
-    """A small problem, its entries in id order as `_search` takes them, and
-    an entry forced into every selection or None."""
+def search_problems(draw, specs=CUT_SPECS):
+    """A small problem under one of `specs`, its entries in id order as
+    `_search` takes them, and an entry forced into every selection or None."""
     n_pos, n_neg = draw(st.integers(1, 5)), draw(st.integers(0, 4))
     budget = draw(st.sampled_from((None, 0, 1, 2, 3, 5)))
     entries = [PromisingEntry(id=i, pos_bits=draw(st.integers(0, 2 ** n_pos - 1)),
@@ -380,7 +405,7 @@ def search_problems(draw):
     forced = None
     if entries and draw(st.booleans()) and budget != 0:
         forced = entries.pop()
-    spec = parse_cost_spec(draw(st.sampled_from(CUT_SPECS)))
+    spec = parse_cost_spec(draw(st.sampled_from(specs)))
     return CombineProblem(tuple(entries), n_pos, n_neg, spec, budget), forced
 
 
@@ -397,22 +422,14 @@ class TestCutSoundness:
         levels = cost_levels(p.spec)
         start = [] if forced is None else [forced]
 
-        def key(chosen):
-            pos = neg = size = 0
-            for e in chosen:
-                pos, neg, size = pos | e.pos_bits, neg | e.neg_bits, size + e.size
-            terms = {"fp": bin(neg).count("1"), "size": size,
-                     "fn": p.n_pos - bin(pos).count("1")}
-            return (tuple(sum(terms[t] for t in level) for level in levels),
-                    tuple(e.id for e in chosen))
-
         def selections(entries, taken):
             for k in range(len(entries) + 1):
                 for chosen in itertools.combinations(entries, k):
                     if len(taken) + k <= budget:
                         yield list(chosen)
 
-        keys = st.sampled_from([key(c + start) for c in selections(order, start)])
+        keys = st.sampled_from([selection_key(p, c + start)
+                                for c in selections(order, start)])
         shift = st.lists(st.integers(-1, 1), min_size=len(levels), max_size=len(levels))
         incumbents = [data.draw(keys) for _ in range(8)] + [
             (tuple(c + d for c, d in zip(data.draw(keys)[0], data.draw(shift))),
@@ -422,17 +439,48 @@ class TestCutSoundness:
         for i in range(len(order) + 1):
             for prefix in selections(order[:i], start):
                 node = start + prefix
-                pos = neg = size = 0
-                for e in node:
-                    pos, neg, size = pos | e.pos_bits, neg | e.neg_bits, size + e.size
+                pos, neg, size = union(node)
                 lb = bound(i, pos, neg, size)
                 ids = tuple(e.id for e in prefix)
                 cut_by = [best for best in incumbents if (lb, ids) >= best or (
                     cut is not None and i < len(order) and cut(i, pos, neg, lb, ids, best))]
                 if cut_by:
-                    least = min(key(prefix + rest + start)
+                    least = min(selection_key(p, prefix + rest + start)
                                 for rest in selections(order[i:], node))
                     assert all(least >= best for best in cut_by), (i, prefix, least)
+
+
+class TestFnFirstCutTables:
+    @settings(max_examples=300, deadline=None)
+    @given(search_problems(FN_FIRST_SPECS), st.data())
+    def test_tables_decide_as_the_scan(self, case, data):
+        # one cut, and so one set of tables, answers nodes drawn in any order,
+        # each against incumbents near the keys of feasible selections, and
+        # asked again later; every answer is the scanning cut's
+        p, forced = case
+        order = list(p.entries)
+        start = [] if forced is None else [forced]
+        # how many entries of `order` a selection may take
+        room = len(order) if p.max_rules is None else p.max_rules - len(start)
+        rng = data.draw(st.randoms(use_true_random=False))
+        feasible = [c for k in range(room + 1) for c in itertools.combinations(order, k)]
+        incumbents = [selection_key(p, list(rng.choice(feasible)) + start) for _ in range(6)]
+        incumbents += [(tuple(c + rng.randint(-1, 1) for c in best[0]), best[1])
+                       for best in incumbents]
+        bound, suffix = _bound(order, p)
+        cut = _reach_cut(order, suffix, p)
+        asked = []
+        for _ in range(60):
+            if asked and rng.random() < 0.3:
+                node = rng.choice(asked)
+            else:
+                i = rng.randint(0, len(order))
+                prefix = [e for e in order[:i] if rng.random() < 0.4][:room]
+                pos, neg, size = union(prefix + start)
+                node = (i, pos, neg, bound(i, pos, neg, size), tuple(e.id for e in prefix),
+                        rng.choice(incumbents))
+                asked.append(node)
+            assert cut(*node) == scanning_fn_first_cut(order, p.spec, *node), node
 
 
 class TestGoldenPools:
